@@ -50,6 +50,23 @@ fn presets_have_the_documented_shapes() {
     assert_eq!(PassPlan::o2().names(), PassPlan::default().names());
 }
 
+/// The preset fingerprints key the on-disk compile cache, so a rebuild
+/// of the presets must keep them: these literals were recorded before
+/// the presets became explicit pass lists.
+#[test]
+fn preset_fingerprints_are_pinned() {
+    let pinned = [
+        (PassPlan::o0(), 0xf85d_70c3_11d5_0a51_u64, 0xfa9c_c3a2_6319_f3b3_u64),
+        (PassPlan::o1(), 0xc627_c4d9_1728_0d68, 0x3e98_253b_bc05_7d5e),
+        (PassPlan::o2(), 0xd61e_4934_e6dd_d567, 0xa445_8541_af00_2d5d),
+    ];
+    for (plan, plain, service) in pinned {
+        assert_eq!(plan.fingerprint(), plain, "{:?}", plan.names());
+        let served = plan.with_budgets(record::Budgets::service());
+        assert_eq!(served.fingerprint(), service, "{:?} with service budgets", served.names());
+    }
+}
+
 #[test]
 fn passes_can_be_dropped_and_replaced_by_name() {
     let full = PassPlan::default();
