@@ -1,8 +1,8 @@
 //! **Ablations** — one knob per Section 3.3 optimization, measured on the
 //! kernels where it bites. Every axis is expressed as a [`PassPlan`]
-//! edit: the default plan minus one named pass (or a plan rebuilt from
-//! options for the knobs that live *inside* a pass, like the variant
-//! limit or the schedule mode). Prints code size (and, where relevant,
+//! edit: the default plan minus one named pass, or with one pass swapped
+//! for a differently configured one for the knobs that live *inside* a
+//! pass, like the variant limit or the schedule mode. Prints code size (and, where relevant,
 //! cycles or pass-specific metrics) with the optimization on and off,
 //! then times a default compile.
 //!
@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use record::{CompileOptions, Compiler, PassPlan};
+use record::{compact_pass, modes_pass, select_pass, Compiler, PassPlan, SpanRecorder};
 use record_bench::criterion;
 use record_bench::{black_box, Criterion};
 use record_ir::transform::RuleSet;
@@ -21,7 +21,7 @@ use record_opt::modes::ModeStrategy;
 use record_sim::run_program;
 
 fn words(compiler: &Compiler, lir: &record_ir::lir::Lir, plan: &PassPlan) -> u32 {
-    compiler.compile_plan(lir, plan).unwrap().size_words()
+    compiler.compile(lir, plan).unwrap().size_words()
 }
 
 fn cycles(
@@ -30,7 +30,7 @@ fn cycles(
     plan: &PassPlan,
     inputs: &HashMap<Symbol, Vec<i64>>,
 ) -> u64 {
-    let code = compiler.compile_plan(lir, plan).unwrap();
+    let code = compiler.compile(lir, plan).unwrap();
     run_program(&code, compiler.target(), inputs).unwrap().1.cycles
 }
 
@@ -50,13 +50,9 @@ fn print_ablations() {
 
     // 1. algebraic variants (Section 4.3.3): 2*x covers as a 1-word
     // load-with-shift only after the mul->shift rewrite. The rule set
-    // lives inside the select pass, so this axis rebuilds the plan from
-    // options rather than dropping a pass.
-    let no_variants = PassPlan::from_options(&CompileOptions {
-        rules: RuleSet::none(),
-        variant_limit: 1,
-        ..CompileOptions::default()
-    });
+    // lives inside the select pass, so this axis swaps the pass rather
+    // than dropping it.
+    let no_variants = full.clone().replacing("select", select_pass(RuleSet::none(), 1, true));
     let shifty = record_ir::lower::lower(
         &record_ir::dfl::parse(
             "program s; const N = 8; in x: fix[N]; out y: fix[N];
@@ -161,10 +157,7 @@ fn print_ablations() {
           end loop;
         end";
     let sat_lir = record_ir::lower::lower(&record_ir::dfl::parse(sat_src).unwrap()).unwrap();
-    let per_use = PassPlan::from_options(&CompileOptions {
-        mode_strategy: ModeStrategy::PerUse,
-        ..CompileOptions::default()
-    });
+    let per_use = full.clone().replacing("modes", modes_pass(ModeStrategy::PerUse));
     println!(
         "{:<44} {:>5} -> {:>5}",
         "mode minimization (mixed sat/wrap loop)",
@@ -193,14 +186,12 @@ fn print_ablations() {
     );
 
     // 9. scheduling: list vs branch-and-bound bundles (dsp56k)
-    let sched_list = PassPlan::from_options(&CompileOptions {
-        schedule: Some(record_opt::ScheduleMode::List),
-        ..CompileOptions::default()
-    });
-    let sched_bb = PassPlan::from_options(&CompileOptions {
-        schedule: Some(record_opt::ScheduleMode::BranchAndBound { max_segment: 10 }),
-        ..CompileOptions::default()
-    });
+    let sched_list =
+        full.clone().replacing("compact", compact_pass(Some(record_opt::ScheduleMode::List)));
+    let sched_bb = full.clone().replacing(
+        "compact",
+        compact_pass(Some(record_opt::ScheduleMode::BranchAndBound { max_segment: 10 })),
+    );
     println!(
         "{:<44} {:>5} -> {:>5}",
         "list vs optimal B&B scheduling (dsp56k)",
@@ -225,7 +216,8 @@ fn smoke() {
         [("O0", PassPlan::o0()), ("default", PassPlan::default())].into_iter().enumerate()
     {
         let plan = plan.strict(true);
-        let (code, timings) = compiler.compile_plan_timed(&lir, &plan).unwrap();
+        let mut recorder = SpanRecorder::disabled();
+        let (code, timings) = compiler.compile_recorded(&lir, &plan, &mut recorder).unwrap();
         let (out, _) = run_program(&code, compiler.target(), &inputs).unwrap();
         for (out_name, _) in kernel.outputs() {
             let sym = Symbol::new(*out_name);
@@ -260,13 +252,13 @@ fn smoke() {
 fn bench(c: &mut Criterion) {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     let lir = lir_of("fir");
-    let o0 = PassPlan::o0();
+    let (o0, o2) = (PassPlan::o0(), PassPlan::o2());
     let mut group = c.benchmark_group("ablation_compile");
     group.bench_function("fir_all_optimizations", |b| {
-        b.iter(|| black_box(compiler.compile(black_box(&lir)).unwrap()))
+        b.iter(|| black_box(compiler.compile(black_box(&lir), &o2).unwrap()))
     });
     group.bench_function("fir_no_optimizations", |b| {
-        b.iter(|| black_box(compiler.compile_plan(black_box(&lir), &o0).unwrap()))
+        b.iter(|| black_box(compiler.compile(black_box(&lir), &o0).unwrap()))
     });
     group.finish();
 }

@@ -39,7 +39,9 @@ fn phase_table() {
 
     let compiler = record::Compiler::for_target(target.clone()).unwrap();
     let t0 = Instant::now();
-    let (code, timings) = compiler.compile_timed(&lir).unwrap();
+    let mut recorder = record::SpanRecorder::disabled();
+    let (code, timings) =
+        compiler.compile_recorded(&lir, &record::PassPlan::o2(), &mut recorder).unwrap();
     let t_compile = t0.elapsed();
 
     println!("\nFig. 2 pipeline phases on `fir` ({} words out):", code.size_words());
@@ -66,6 +68,7 @@ fn bench(c: &mut Criterion) {
     let ast = record_ir::dfl::parse(kernel.source).unwrap();
     let lir = record_ir::lower::lower(&ast).unwrap();
     let compiler = record::Compiler::for_target(target.clone()).unwrap();
+    let plan = record::PassPlan::o2();
 
     let mut group = c.benchmark_group("pipeline_phases");
     group.bench_function("parse", |b| {
@@ -78,7 +81,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(Matcher::new(black_box(&target))))
     });
     group.bench_function("full_compile", |b| {
-        b.iter(|| black_box(compiler.compile(black_box(&lir)).unwrap()))
+        b.iter(|| black_box(compiler.compile(black_box(&lir), &plan).unwrap()))
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! fresh-construct-and-compile vs. cached compile; the acceptance bar
 //! is a ≥2× speedup for second-and-later compiles.
 
-use record::{Compiler, Session};
+use record::{CompileInput, Compiler, PassPlan, Session};
 use record_bench::criterion;
 use record_bench::{black_box, Criterion};
 use record_ir::lir::Lir;
@@ -23,6 +23,8 @@ fn kernel_lirs() -> Vec<Lir> {
 fn print_stats() {
     let target = record_isa::targets::tic25::target();
     let lirs = kernel_lirs();
+    let inputs: Vec<CompileInput> = lirs.iter().map(CompileInput::Lir).collect();
+    let o2 = PassPlan::o2();
     let n = 50u32;
 
     // what the cache amortizes: obtaining a ready compiler. The fresh
@@ -52,14 +54,14 @@ fn print_stats() {
     for _ in 0..n {
         for lir in &lirs {
             let compiler = Compiler::for_target(target.clone()).unwrap();
-            black_box(compiler.compile(black_box(lir)).ok());
+            black_box(compiler.compile(black_box(lir), &o2).ok());
         }
     }
     let fresh = start.elapsed() / (n * lirs.len() as u32);
     let start = std::time::Instant::now();
     for _ in 0..n {
         for lir in &lirs {
-            black_box(session.compile(&target, black_box(lir)).ok());
+            black_box(session.compile(&target, CompileInput::Lir(black_box(lir)), None, None).ok());
         }
     }
     let cached = start.elapsed() / (n * lirs.len() as u32);
@@ -70,12 +72,15 @@ fn print_stats() {
     // batch driver vs. a sequential loop over the same session
     let start = std::time::Instant::now();
     for _ in 0..n {
-        black_box(session.compile_batch(&target, &lirs).unwrap());
+        black_box(session.compile_batch(&target, &inputs, None).unwrap());
     }
     let batch = start.elapsed() / n;
     let start = std::time::Instant::now();
     for _ in 0..n {
-        let v: Vec<_> = lirs.iter().map(|l| session.compile(&target, l)).collect();
+        let v: Vec<_> = lirs
+            .iter()
+            .map(|l| session.compile(&target, CompileInput::Lir(l), None, None))
+            .collect();
         black_box(v);
     }
     let seq = start.elapsed() / n;
@@ -85,6 +90,8 @@ fn print_stats() {
 fn bench(c: &mut Criterion) {
     let target = record_isa::targets::tic25::target();
     let lirs = kernel_lirs();
+    let inputs: Vec<CompileInput> = lirs.iter().map(CompileInput::Lir).collect();
+    let o2 = PassPlan::o2();
     let session = Session::new();
     session.compiler_for(&target).unwrap();
 
@@ -98,14 +105,18 @@ fn bench(c: &mut Criterion) {
     group.bench_function("fresh_compiler_per_compile", |b| {
         b.iter(|| {
             let compiler = Compiler::for_target(target.clone()).unwrap();
-            black_box(compiler.compile(black_box(&lirs[0])).ok())
+            black_box(compiler.compile(black_box(&lirs[0]), &o2).ok())
         })
     });
     group.bench_function("session_cached_compile", |b| {
-        b.iter(|| black_box(session.compile(&target, black_box(&lirs[0])).ok()))
+        b.iter(|| {
+            black_box(
+                session.compile(&target, CompileInput::Lir(black_box(&lirs[0])), None, None).ok(),
+            )
+        })
     });
     group.bench_function("compile_batch_all_kernels", |b| {
-        b.iter(|| black_box(session.compile_batch(&target, black_box(&lirs)).unwrap()))
+        b.iter(|| black_box(session.compile_batch(&target, black_box(&inputs), None).unwrap()))
     });
     group.finish();
 }

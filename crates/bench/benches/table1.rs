@@ -14,11 +14,12 @@ fn print_table() {
 
 fn bench(c: &mut Criterion) {
     let compiler = record::Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
+    let plan = record::PassPlan::o2();
     let mut group = c.benchmark_group("table1_compile");
     for kernel in record_dspstone::kernels() {
         let lir = record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap()).unwrap();
         group.bench_function(kernel.name, |b| {
-            b.iter(|| black_box(compiler.compile(black_box(&lir)).unwrap().size_words()))
+            b.iter(|| black_box(compiler.compile(black_box(&lir), &plan).unwrap().size_words()))
         });
     }
     group.finish();

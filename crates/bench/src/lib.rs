@@ -33,5 +33,5 @@ pub fn compile_kernel(name: &str) -> record_isa::Code {
     let kernel = record_dspstone::kernel(name).expect("known kernel");
     let lir = record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap()).unwrap();
     let compiler = record::Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
-    compiler.compile(&lir).unwrap()
+    compiler.compile(&lir, &record::PassPlan::o2()).unwrap()
 }

@@ -328,7 +328,7 @@ mod tests {
         let baseline = compile(&lir).unwrap();
         let record = crate::Compiler::for_target(record_isa::targets::tic25::target())
             .unwrap()
-            .compile(&lir)
+            .compile(&lir, &crate::PassPlan::o2())
             .unwrap();
 
         let x: Vec<i64> = (1..=8).collect();

@@ -41,9 +41,12 @@ use record_isa::{
 };
 use record_trace::codec::{self, ByteReader, ByteWriter, CodecError};
 
-/// Magic + version framing a cached-code file.
+/// Magic + version framing a cached-code file. The version also moves
+/// when the code a plan emits changes under the same plan fingerprint
+/// (version 2: plans with a variants budget cover blocks as DAGs), so
+/// older entries are evicted as version skew instead of served.
 const CODE_MAGIC: &[u8; 8] = b"RECCODE\0";
-const CODE_VERSION: u32 = 1;
+const CODE_VERSION: u32 = 2;
 
 /// Decode recursion guard: trees, expressions and loop nests deeper
 /// than this are rejected as corrupt rather than risking stack
@@ -996,7 +999,7 @@ mod tests {
                    y := 0; for i in 0..N-1 loop y := y + a[i] * 3; end loop; end";
         let lir = lower(src);
         let compiler = crate::Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
-        let code = compiler.compile(&lir).unwrap();
+        let code = compiler.compile(&lir, &crate::PassPlan::o2()).unwrap();
         (lir, code)
     }
 

@@ -19,14 +19,20 @@
 //!   or with [`Compiler::from_netlist`] from an RT-level structural model
 //!   (instruction-set extraction closes "the gap … between electronic CAD
 //!   and compiler generation"),
-//! * [`CompileOptions`] exposes every optimization the paper catalogues,
-//!   each individually toggleable for the ablation benches,
-//! * [`PassPlan`] is the pipeline itself as data: every backend phase is
-//!   a named [`Pass`] over a [`CompilationUnit`]; plans are built from
-//!   options, from the `O0`/`O1`/`O2` presets, or edited per pass by
-//!   name, and in strict mode the runner verifies structural invariants
-//!   between passes,
-//! * [`Session`] is compilation as a service: a per-target compiler
+//! * [`PassPlan`] is the pipeline itself as data, and the compiler's one
+//!   configuration: every backend phase is a named [`Pass`] over a
+//!   [`CompilationUnit`]; plans start from the `O0`/`O1`/`O2` presets and
+//!   are edited per pass by name — every optimization the paper
+//!   catalogues can be dropped ([`PassPlan::without`]) or reconfigured
+//!   ([`PassPlan::replacing`] with [`select_pass`], [`compact_pass`] or
+//!   [`modes_pass`]) for the ablation benches — and in strict mode the
+//!   runner verifies structural invariants between passes,
+//! * [`Compiler::compile_recorded`] runs a plan over a lowered program —
+//!   the pipeline primitive; [`Compiler::compile`] and
+//!   [`Compiler::compile_source`] are its plain conveniences,
+//! * [`Session`] is compilation as a service, entered through
+//!   [`Session::compile`] (one program, with an optional deadline and
+//!   span recorder) or [`Session::compile_batch`]: a per-target compiler
 //!   cache, a parallel batch driver, and the observability layer —
 //!   attach a [`Tracer`] ([`Session::with_tracer`](Session::with_tracer))
 //!   for per-compile span trees (exported as JSON-lines or Chrome
@@ -74,10 +80,12 @@ mod error;
 
 pub use cache::{CacheKey, CacheStats, CompileCache, ScrubStats};
 pub use error::{CompileError, TargetError};
-pub use pass::{reference_select_pass, CompilationUnit, Pass, PassPlan};
-pub use pipeline::{Budgets, CompileOptions, Compiler};
+pub use pass::{
+    compact_pass, modes_pass, reference_select_pass, select_pass, CompilationUnit, Pass, PassPlan,
+};
+pub use pipeline::{Budgets, Compiler};
 pub use record_trace::{
     span, AttrValue, Event, Metric, MetricsRegistry, Span, SpanRecorder, TraceRecord, Tracer,
 };
-pub use session::{Session, SessionStats};
+pub use session::{CompileInput, Session, SessionStats};
 pub use timing::{CodeStats, PassRecord, PhaseTimings, SalvageRecord};

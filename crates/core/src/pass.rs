@@ -4,10 +4,11 @@
 //! selection, storage layout, offset assignment, bank assignment, AGU
 //! addressing, compaction, invariant hoisting, mode insertion, hardware
 //! repeat — is a named [`Pass`] over a [`CompilationUnit`]. A
-//! [`PassPlan`] is an ordered list of passes; plans are built from
-//! [`CompileOptions`] (the backward-compatible path), from the `O0`/`O1`/
-//! `O2` presets, or edited per pass by name ([`PassPlan::without`],
-//! [`PassPlan::with_pass`]).
+//! [`PassPlan`] is an ordered list of passes and the compiler's only
+//! configuration: start from the `O0`/`O1`/`O2` presets and edit them per
+//! pass by name ([`PassPlan::without`], [`PassPlan::replacing`],
+//! [`PassPlan::with_pass`]). The configurable built-in passes have public
+//! constructors ([`select_pass`], [`compact_pass`], [`modes_pass`]).
 //!
 //! In *strict* mode (the default in debug builds and tests) the runner
 //! verifies the unit between passes: [`Code::verify`] plus each pass's
@@ -30,8 +31,8 @@ use record_opt::compact::ScheduleMode;
 use record_opt::modes::ModeStrategy;
 use record_trace::SpanRecorder;
 
-use crate::pipeline::{convert_rpt, order_vars, order_vars_budgeted, Budgets, CompileOptions};
-use crate::select::{Emitter, SelectStats};
+use crate::pipeline::{convert_rpt, order_vars, order_vars_budgeted, Budgets};
+use crate::select::{Emitter, SelectBudget, SelectStats};
 use crate::timing::{CodeStats, PassRecord, PhaseTimings};
 use crate::CompileError;
 
@@ -84,7 +85,7 @@ pub struct CompilationUnit<'a> {
     /// on it; passes may attach extra attributes or events (e.g. the
     /// search passes record `search_steps`). Disabled (a no-op) unless
     /// the driver installed an enabled recorder — see
-    /// [`Compiler::compile_plan_traced`](crate::Compiler::compile_plan_traced).
+    /// [`Compiler::compile_recorded`](crate::Compiler::compile_recorded).
     pub trace: SpanRecorder,
 }
 
@@ -167,13 +168,14 @@ pub trait Pass: Send + Sync {
     }
 }
 
-/// A declarative, ordered pass pipeline.
+/// A declarative, ordered pass pipeline — the one configuration of a
+/// compile.
 ///
-/// `PassPlan::from_options` reproduces exactly what the boolean knobs on
-/// [`CompileOptions`] used to hard-wire; [`o0`](PassPlan::o0)/
-/// [`o1`](PassPlan::o1)/[`o2`](PassPlan::o2) are conventional presets;
-/// [`without`](PassPlan::without) and [`with_pass`](PassPlan::with_pass)
-/// edit a plan per pass — the ablation bench drives every axis this way.
+/// [`o0`](PassPlan::o0)/[`o1`](PassPlan::o1)/[`o2`](PassPlan::o2) are the
+/// presets; [`without`](PassPlan::without),
+/// [`replacing`](PassPlan::replacing), [`with_pass`](PassPlan::with_pass)
+/// and [`folding`](PassPlan::folding) edit a plan per pass — the ablation
+/// bench drives every axis this way.
 #[derive(Clone)]
 pub struct PassPlan {
     passes: Vec<Arc<dyn Pass>>,
@@ -195,66 +197,68 @@ impl fmt::Debug for PassPlan {
 
 impl Default for PassPlan {
     fn default() -> Self {
-        PassPlan::from_options(&CompileOptions::default())
+        PassPlan::o2()
     }
 }
 
 impl PassPlan {
-    /// The plan equivalent to compiling with `opts` — the single source
-    /// of truth the boolean-steered pipeline now delegates to.
-    pub fn from_options(opts: &CompileOptions) -> Self {
-        let mut passes: Vec<Arc<dyn Pass>> = Vec::new();
-        if opts.fold_constants {
-            passes.push(Arc::new(FoldPass));
+    /// A plan running `passes` in order: strict in debug builds, no
+    /// budgets, salvaging on.
+    fn of(passes: Vec<Arc<dyn Pass>>) -> Self {
+        PassPlan {
+            passes,
+            strict: cfg!(debug_assertions),
+            budgets: Budgets::unlimited(),
+            salvage: true,
         }
-        if opts.cse {
-            passes.push(Arc::new(TreeifyPass));
-        }
-        passes.push(Arc::new(SelectPass {
-            rules: opts.rules,
-            variant_limit: opts.variant_limit,
-            reference: false,
-            dag_cover: opts.dag_cover,
-        }));
-        passes.push(Arc::new(LayoutPass));
-        if opts.offset_assignment {
-            passes.push(Arc::new(OffsetPass));
-        }
-        if opts.bank_assignment {
-            passes.push(Arc::new(BanksPass));
-        }
-        passes.push(Arc::new(AddressPass));
-        if opts.compact {
-            passes.push(Arc::new(CompactPass { schedule: opts.schedule }));
-            passes.push(Arc::new(HoistPass));
-        }
-        passes.push(Arc::new(ModesPass { strategy: opts.mode_strategy }));
-        if opts.use_rpt {
-            passes.push(Arc::new(RptPass));
-        }
-        PassPlan { passes, strict: cfg!(debug_assertions), budgets: opts.budgets, salvage: true }
     }
 
     /// `O0`: every optimization off — the naive macro-expander end of the
-    /// ablation axis ([`CompileOptions::nothing`]).
+    /// ablation axis: the original trees only, no CSE, no memory-layout
+    /// search, no compaction, a mode change before every use.
     pub fn o0() -> Self {
-        PassPlan::from_options(&CompileOptions::nothing())
+        PassPlan::of(vec![
+            select_pass(RuleSet::none(), 1, false),
+            Arc::new(LayoutPass),
+            Arc::new(AddressPass),
+            modes_pass(ModeStrategy::PerUse),
+        ])
     }
 
-    /// `O1`: code-level optimizations (variants, CSE, compaction,
-    /// hardware repeat) without the memory-layout ones (offset and bank
-    /// assignment).
+    /// `O1`: code-level optimizations (variants, CSE, DAG covering,
+    /// compaction, hardware repeat) without the memory-layout ones
+    /// (offset and bank assignment).
     pub fn o1() -> Self {
-        PassPlan::from_options(&CompileOptions {
-            offset_assignment: false,
-            bank_assignment: false,
-            ..CompileOptions::default()
-        })
+        PassPlan::o2().without("offset").without("banks")
     }
 
-    /// `O2`: everything on ([`CompileOptions::default`]).
+    /// `O2`: everything on except constant folding, which the paper's
+    /// Table 1 configuration leaves off (see [`folding`](PassPlan::folding)).
     pub fn o2() -> Self {
-        PassPlan::from_options(&CompileOptions::default())
+        PassPlan::of(vec![
+            Arc::new(TreeifyPass),
+            select_pass(RuleSet::all(), 32, true),
+            Arc::new(LayoutPass),
+            Arc::new(OffsetPass),
+            Arc::new(BanksPass),
+            Arc::new(AddressPass),
+            compact_pass(None),
+            Arc::new(HoistPass),
+            modes_pass(ModeStrategy::Lazy),
+            Arc::new(RptPass),
+        ])
+    }
+
+    /// Puts constant folding (the `fold` pass) at the front of the plan.
+    /// The paper states RECORD "does not contain any standard
+    /// optimization technique (such as constant folding)", so no preset
+    /// runs it.
+    #[must_use]
+    pub fn folding(mut self) -> Self {
+        if !self.passes.iter().any(|p| p.name() == "fold") {
+            self.passes.insert(0, Arc::new(FoldPass));
+        }
+        self
     }
 
     /// Removes every pass named `name`. Unknown names are a no-op, so
@@ -324,7 +328,7 @@ impl PassPlan {
 
     /// Enables or disables graceful degradation: with salvaging on (the
     /// default), a failing *best-effort* pass is dropped and the plan
-    /// retried by [`Compiler::compile_plan_timed`](crate::Compiler::compile_plan_timed)
+    /// retried by [`Compiler::compile_recorded`](crate::Compiler::compile_recorded)
     /// instead of failing the compile.
     #[must_use]
     pub fn salvaging(mut self, on: bool) -> Self {
@@ -405,7 +409,7 @@ impl PassPlan {
     }
 
     /// Runs the plan over `unit`, filling `timings` with one
-    /// [`PassRecord`] per executed pass (plus the legacy phase buckets).
+    /// [`PassRecord`] per executed pass.
     ///
     /// Each pass runs inside `catch_unwind`: a panic is converted to
     /// [`CompileError::Internal`] naming the pass, so a poisoned kernel
@@ -427,7 +431,7 @@ impl PassPlan {
 
     /// [`run`](PassPlan::run) keeping failure attribution: which pass
     /// failed and whether it was best-effort (salvageable). The salvage
-    /// loop in `Compiler::compile_plan_timed` keys off this.
+    /// loop in `Compiler::compile_recorded` keys off this.
     pub(crate) fn run_inner(
         &self,
         unit: &mut CompilationUnit<'_>,
@@ -510,7 +514,7 @@ impl PassPlan {
                 best_effort: pass.best_effort(),
                 error,
             })?;
-            timings.record_pass(PassRecord {
+            timings.passes.push(PassRecord {
                 name: pass.name().to_string(),
                 time,
                 runs: 1,
@@ -707,6 +711,17 @@ struct SelectPass {
     dag_cover: bool,
 }
 
+/// The `select` pass: enumerates up to `variant_limit` algebraic variants
+/// of each statement under `rules` and covers the cheapest. With
+/// `dag_cover`, straight-line blocks are covered as DAGs, so a soundly
+/// repeated subtree may be computed once into a parked register. The
+/// presets use `(RuleSet::all(), 32, true)` (`O1`/`O2`) and
+/// `(RuleSet::none(), 1, false)` (`O0`); swap in another configuration
+/// with `plan.replacing("select", select_pass(..))`.
+pub fn select_pass(rules: RuleSet, variant_limit: usize, dag_cover: bool) -> Arc<dyn Pass> {
+    Arc::new(SelectPass { rules, variant_limit, reference: false, dag_cover })
+}
+
 /// A `select` pass running the boxed (pre-interning) selection path.
 /// Produces byte-identical code to the default interned pass *with DAG
 /// covering off* — the golden equivalence test compiles every kernel
@@ -714,6 +729,19 @@ struct SelectPass {
 /// oracle. Swap it in with `plan.replacing("select", reference_select_pass(..))`.
 pub fn reference_select_pass(rules: RuleSet, variant_limit: usize) -> Arc<dyn Pass> {
     Arc::new(SelectPass { rules, variant_limit, reference: true, dag_cover: false })
+}
+
+/// The `compact` pass: instruction fusion, then bundle scheduling in
+/// `schedule` mode, or adjacent parallel-move packing when `None` (the
+/// presets' choice).
+pub fn compact_pass(schedule: Option<ScheduleMode>) -> Arc<dyn Pass> {
+    Arc::new(CompactPass { schedule })
+}
+
+/// The `modes` pass: inserts mode changes with `strategy` (the presets
+/// use [`ModeStrategy::Lazy`], except `O0`'s [`ModeStrategy::PerUse`]).
+pub fn modes_pass(strategy: ModeStrategy) -> Arc<dyn Pass> {
+    Arc::new(ModesPass { strategy })
 }
 
 impl Pass for SelectPass {
@@ -737,7 +765,8 @@ impl Pass for SelectPass {
     fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
         let target = unit.target;
         let budgets = unit.budgets;
-        let budget = search_budget(None, &budgets);
+        let search = search_budget(None, &budgets);
+        let budget = SelectBudget { search: Some(&search), max_variants: budgets.max_variants };
         let mut emitter = Emitter::with_tables(target, Arc::clone(unit.tables));
         emitter.set_reference(self.reference);
         emitter.set_search_cap(budgets.max_search_steps);
@@ -752,7 +781,6 @@ impl Pass for SelectPass {
             &mut unit.statements,
             &mut stats,
             &budget,
-            budgets.max_variants,
         );
         unit.lir.body = body;
         unit.variants += stats.variants;
@@ -766,7 +794,7 @@ impl Pass for SelectPass {
         unit.shared_subtrees += stats.shared_subtrees;
         unit.shares_taken += stats.shares_taken;
         unit.recomputes_chosen += stats.recomputes_chosen;
-        unit.trace.attr("search_steps", budget.steps());
+        unit.trace.attr("search_steps", search.steps());
         if unit.trace.is_enabled() {
             unit.trace.attr("interned_nodes", stats.interned_nodes);
             unit.trace.attr("dedup_hits", stats.dedup_hits);
@@ -803,8 +831,7 @@ impl SelectPass {
         out: &mut Vec<Insn>,
         statements: &mut usize,
         stats: &mut SelectStats,
-        budget: &record_opt::SearchBudget,
-        max_variants: Option<usize>,
+        budget: &SelectBudget<'_>,
     ) -> Result<(), CompileError> {
         // Consecutive assignments form a straight-line block; DAG
         // covering works across it, so gather runs and flush at loop
@@ -814,15 +841,7 @@ impl SelectPass {
             match item {
                 LirItem::Assign(stmt) => block.push(stmt.clone()),
                 LirItem::Loop { var, count, body } => {
-                    self.flush_block(
-                        &mut block,
-                        emitter,
-                        out,
-                        statements,
-                        stats,
-                        budget,
-                        max_variants,
-                    )?;
+                    self.flush_block(&mut block, emitter, out, statements, stats, budget)?;
                     let init = target.loop_ctrl.init_cost;
                     out.push(Insn::ctrl(
                         InsnKind::LoopStart { var: var.clone(), count: *count },
@@ -830,29 +849,18 @@ impl SelectPass {
                         init.words,
                         init.cycles,
                     ));
-                    self.emit_rec(
-                        body,
-                        target,
-                        emitter,
-                        out,
-                        statements,
-                        stats,
-                        budget,
-                        max_variants,
-                    )?;
+                    self.emit_rec(body, target, emitter, out, statements, stats, budget)?;
                     let end = target.loop_ctrl.end_cost;
                     out.push(Insn::ctrl(InsnKind::LoopEnd, "ENDLP", end.words, end.cycles));
                 }
             }
         }
-        self.flush_block(&mut block, emitter, out, statements, stats, budget, max_variants)
+        self.flush_block(&mut block, emitter, out, statements, stats, budget)
     }
 
     /// Emits a gathered straight-line block: as one DAG cover when the
-    /// pass runs with `dag_cover` (and no variants budget is in force —
-    /// the per-statement cap accounting predates blocks and stays exact
-    /// on the legacy path), otherwise statement by statement.
-    #[allow(clippy::too_many_arguments)]
+    /// pass runs with `dag_cover`, otherwise statement by statement. Both
+    /// paths check the budget once per statement.
     fn flush_block(
         &self,
         block: &mut Vec<AssignStmt>,
@@ -860,50 +868,21 @@ impl SelectPass {
         out: &mut Vec<Insn>,
         statements: &mut usize,
         stats: &mut SelectStats,
-        budget: &record_opt::SearchBudget,
-        max_variants: Option<usize>,
+        budget: &SelectBudget<'_>,
     ) -> Result<(), CompileError> {
         if block.is_empty() {
             return Ok(());
         }
-        let exceeded = |resource: &str| CompileError::Budget {
-            pass: "select".into(),
-            resource: resource.to_string(),
-        };
-        if self.dag_cover && !self.reference && max_variants.is_none() {
-            let stmts = std::mem::take(block);
-            let (insns, one) =
-                emitter.emit_block(&stmts, &self.rules, self.variant_limit, false)?;
-            stats.absorb(&one);
-            *statements += stmts.len();
-            out.extend(insns);
-            budget.charge(one.variants.max(1) as u64).map_err(|e| exceeded(e.resource))?;
-            return Ok(());
-        }
-        for stmt in block.drain(..) {
-            // With a variants cap, don't enumerate past the point of no
-            // return: `remaining + 1` keeps the over-cap check below
-            // firing exactly as it used to while the stream skips the
-            // unusable tail.
-            let limit = match max_variants {
-                Some(cap) => {
-                    let remaining = cap.saturating_sub(stats.variants);
-                    self.variant_limit.min(remaining + 1)
-                }
-                None => self.variant_limit,
-            };
-            let (insns, one) = emitter.emit_assign(&stmt, &self.rules, limit, false)?;
-            stats.absorb(&one);
-            *statements += 1;
-            out.extend(insns);
-            // one statement per charge: enough granularity for the
-            // per-pass deadline without touching the clock inside
-            // variant enumeration
-            budget.charge(one.variants.max(1) as u64).map_err(|e| exceeded(e.resource))?;
-            if max_variants.is_some_and(|cap| stats.variants > cap) {
-                return Err(exceeded("variants"));
+        let stmts = std::mem::take(block);
+        let (rules, limit) = (&self.rules, self.variant_limit);
+        if self.dag_cover && !self.reference {
+            out.extend(emitter.emit_block(&stmts, rules, limit, false, budget, stats)?);
+        } else {
+            for insns in emitter.emit_statements(&stmts, rules, limit, false, budget, stats)? {
+                out.extend(insns);
             }
         }
+        *statements += stmts.len();
         Ok(())
     }
 }

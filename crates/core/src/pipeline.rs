@@ -6,16 +6,15 @@ use std::time::{Duration, Instant};
 
 use record_burg::Tables;
 use record_ir::lir::{Lir, VarInfo};
-use record_ir::transform::RuleSet;
 use record_ir::{dfl, lower, Symbol};
 use record_isa::netlist::Netlist;
 use record_isa::{Code, Insn, InsnKind, Loc, TargetDesc};
 use record_ise::ToTargetOptions;
-use record_opt::compact::ScheduleMode;
-use record_opt::modes::ModeStrategy;
+
+use record_trace::SpanRecorder;
 
 use crate::timing::{PhaseTimings, SalvageRecord};
-use crate::CompileError;
+use crate::{CompileError, PassPlan};
 
 /// Resource budgets for one compilation: hard caps that turn the
 /// superlinear searches (variant enumeration, branch-and-bound
@@ -89,84 +88,6 @@ impl Budgets {
     }
 }
 
-/// Everything a compilation can toggle — one knob per optimization the
-/// paper catalogues, so the ablation benches can isolate each design
-/// choice.
-#[derive(Clone, Debug)]
-pub struct CompileOptions {
-    /// Algebraic rewrite rules used for variant enumeration.
-    pub rules: RuleSet,
-    /// Maximum number of tree variants matched per statement.
-    pub variant_limit: usize,
-    /// Apply constant folding first. **Off by default**: the paper states
-    /// RECORD "does not contain any standard optimization technique (such
-    /// as constant folding)" and Table 1 was measured that way.
-    pub fold_constants: bool,
-    /// Share common subexpressions via data-flow-graph value numbering
-    /// before tree decomposition.
-    pub cse: bool,
-    /// Apply instruction fusion / parallel-move packing.
-    pub compact: bool,
-    /// Order scalars by simple offset assignment (vs declaration order).
-    pub offset_assignment: bool,
-    /// Optimize memory-bank assignment on dual-bank targets.
-    pub bank_assignment: bool,
-    /// How mode-change instructions are inserted.
-    pub mode_strategy: ModeStrategy,
-    /// Convert eligible single-instruction loops to hardware repeat.
-    pub use_rpt: bool,
-    /// Bundle-schedule straight-line segments (parallel-move targets);
-    /// `None` uses the cheaper adjacent-packing pass.
-    pub schedule: Option<ScheduleMode>,
-    /// Cover straight-line blocks as DAGs over the interned pool:
-    /// soundly repeated subtrees may be computed once into a parked
-    /// register instead of once per statement. On by default; the
-    /// reference selection pass always runs with it off.
-    pub dag_cover: bool,
-    /// Resource caps ([`Budgets::unlimited`] by default).
-    pub budgets: Budgets,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            rules: RuleSet::all(),
-            variant_limit: 32,
-            fold_constants: false,
-            cse: true,
-            compact: true,
-            offset_assignment: true,
-            bank_assignment: true,
-            mode_strategy: ModeStrategy::Lazy,
-            use_rpt: true,
-            schedule: None,
-            dag_cover: true,
-            budgets: Budgets::unlimited(),
-        }
-    }
-}
-
-impl CompileOptions {
-    /// Every optimization off — the configuration closest to a naive
-    /// macro expander (used as one end of the ablation axis).
-    pub fn nothing() -> Self {
-        CompileOptions {
-            rules: RuleSet::none(),
-            variant_limit: 1,
-            fold_constants: false,
-            cse: false,
-            compact: false,
-            offset_assignment: false,
-            bank_assignment: false,
-            mode_strategy: ModeStrategy::PerUse,
-            use_rpt: false,
-            schedule: None,
-            dag_cover: false,
-            budgets: Budgets::unlimited(),
-        }
-    }
-}
-
 /// A generated compiler for one target.
 ///
 /// See the [crate docs](crate) for the full picture; in short:
@@ -198,7 +119,7 @@ impl Compiler {
     /// Generates a compiler from an explicit instruction-set description.
     ///
     /// The BURS matcher tables are generated here, once; every subsequent
-    /// [`compile`](Compiler::compile) reuses them.
+    /// compile reuses them.
     ///
     /// # Errors
     ///
@@ -279,89 +200,37 @@ impl Compiler {
         })
     }
 
-    /// Compiles a lowered program with default options.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile(&self, lir: &Lir) -> Result<Code, CompileError> {
-        self.compile_with(lir, &CompileOptions::default())
-    }
-
-    /// Parses, lowers and compiles a mini-DFL source text.
+    /// Parses, lowers and compiles a mini-DFL source text with the `O2`
+    /// preset — the quick-start entry point.
     ///
     /// # Errors
     ///
     /// See [`CompileError`].
     pub fn compile_source(&self, source: &str) -> Result<Code, CompileError> {
-        self.compile_source_timed(source).map(|(code, _)| code)
+        let lir = lower::lower(&dfl::parse(source)?)?;
+        self.compile(&lir, &PassPlan::o2())
     }
 
-    /// Compiles a lowered program with default options, reporting
-    /// per-phase timings.
+    /// Compiles a lowered program by running `plan`.
     ///
     /// # Errors
     ///
-    /// See [`CompileError`].
-    pub fn compile_timed(&self, lir: &Lir) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_with_timed(lir, &CompileOptions::default())
+    /// See [`compile_recorded`](Compiler::compile_recorded).
+    pub fn compile(&self, lir: &Lir, plan: &PassPlan) -> Result<Code, CompileError> {
+        let mut recorder = SpanRecorder::disabled();
+        self.compile_recorded(lir, plan, &mut recorder).map(|(code, _)| code)
     }
 
-    /// Parses, lowers and compiles a mini-DFL source text, reporting
-    /// per-phase timings (including the frontend phases).
+    /// Compiles a lowered program by running `plan`, reporting per-pass
+    /// timings and before/after code statistics — the pipeline primitive
+    /// every other entry point delegates to.
     ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source_timed(&self, source: &str) -> Result<(Code, PhaseTimings), CompileError> {
-        let t_parse = Instant::now();
-        let ast = dfl::parse(source)?;
-        let parse = t_parse.elapsed();
-        let t_lower = Instant::now();
-        let lir = lower::lower(&ast)?;
-        let lower = t_lower.elapsed();
-        let (code, mut timings) = self.compile_timed(&lir)?;
-        timings.parse = parse;
-        timings.lower = lower;
-        timings.total += parse + lower;
-        Ok((code, timings))
-    }
-
-    /// Compiles with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_with(&self, lir: &Lir, opts: &CompileOptions) -> Result<Code, CompileError> {
-        self.compile_with_timed(lir, opts).map(|(code, _)| code)
-    }
-
-    /// Compiles with explicit options, reporting per-phase timings.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_with_timed(
-        &self,
-        lir: &Lir,
-        opts: &CompileOptions,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_plan_timed(lir, &crate::PassPlan::from_options(opts))
-    }
-
-    /// Compiles by running an explicit [`PassPlan`](crate::PassPlan) —
-    /// the primitive every other `compile_*` entry point delegates to.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`]; in strict plans a broken pass surfaces as
-    /// [`CompileError::Verify`] naming the pass.
-    pub fn compile_plan(&self, lir: &Lir, plan: &crate::PassPlan) -> Result<Code, CompileError> {
-        self.compile_plan_timed(lir, plan).map(|(code, _)| code)
-    }
-
-    /// Compiles by running an explicit [`PassPlan`](crate::PassPlan),
-    /// reporting per-pass timings and before/after code statistics.
+    /// Spans go to the caller's `recorder`: one `compile` span
+    /// (attributes `kernel`, `target`, and on completion `insns`/`words`
+    /// or `error`) whose children are the executed passes, with
+    /// `salvage` events marking every dropped best-effort pass. The
+    /// caller keeps ownership of the recorder and of where its spans end
+    /// up; with a disabled recorder the cost is a branch per pass.
     ///
     /// When a *best-effort* pass (an optimization: offset, banks,
     /// compact, hoist, modes, rpt) panics, fails strict verification or
@@ -371,67 +240,20 @@ impl Compiler {
     /// is validated bit-exactly against a mandatory-passes-only compile
     /// on the simulator. Mandatory passes (fold, treeify, select,
     /// layout, address) and custom passes still hard-fail. Salvaging can
-    /// be disabled per plan with
-    /// [`PassPlan::salvaging`](crate::PassPlan::salvaging).
+    /// be disabled per plan with [`PassPlan::salvaging`].
     ///
     /// # Errors
     ///
-    /// See [`compile_plan`](Compiler::compile_plan); additionally
-    /// [`CompileError::Internal`] for a panicking pass that could not be
-    /// salvaged (or whose salvage failed validation) and
-    /// [`CompileError::Budget`] for an exhausted resource cap.
-    pub fn compile_plan_timed(
+    /// See [`CompileError`]; in strict plans a broken pass surfaces as
+    /// [`CompileError::Verify`] naming the pass,
+    /// [`CompileError::Internal`] reports a panicking pass that could not
+    /// be salvaged (or whose salvage failed validation) and
+    /// [`CompileError::Budget`] an exhausted resource cap.
+    pub fn compile_recorded(
         &self,
         lir: &Lir,
-        plan: &crate::PassPlan,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_plan_traced(lir, plan, None)
-    }
-
-    /// [`compile_plan_timed`](Compiler::compile_plan_timed) with span
-    /// recording: when `tracer` is given, the compile submits one
-    /// `compile` root span (attributes `kernel`, `target`, and on
-    /// completion `insns`/`words` or `error`) whose children are the
-    /// executed passes, with `salvage` events marking every dropped
-    /// best-effort pass. With `tracer` `None` the recorder is disabled
-    /// and the cost is a branch per pass.
-    ///
-    /// # Errors
-    ///
-    /// See [`compile_plan_timed`](Compiler::compile_plan_timed).
-    pub fn compile_plan_traced(
-        &self,
-        lir: &Lir,
-        plan: &crate::PassPlan,
-        tracer: Option<&record_trace::Tracer>,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        let mut recorder = match tracer {
-            Some(t) => t.recorder(),
-            None => record_trace::SpanRecorder::disabled(),
-        };
-        let result = self.compile_plan_recorded(lir, plan, &mut recorder);
-        if let Some(t) = tracer {
-            t.submit(recorder);
-        }
-        result
-    }
-
-    /// [`compile_plan_timed`](Compiler::compile_plan_timed) recording
-    /// into a caller-owned [`SpanRecorder`](record_trace::SpanRecorder) —
-    /// the request-scoped variant
-    /// servers use: the caller keeps ownership of the recorder (and of
-    /// where its spans end up, e.g. a flight-recorder ring) instead of
-    /// submitting to a shared [`Tracer`](record_trace::Tracer). With a
-    /// disabled recorder the cost is a branch per pass.
-    ///
-    /// # Errors
-    ///
-    /// See [`compile_plan_timed`](Compiler::compile_plan_timed).
-    pub fn compile_plan_recorded(
-        &self,
-        lir: &Lir,
-        plan: &crate::PassPlan,
-        recorder: &mut record_trace::SpanRecorder,
+        plan: &PassPlan,
+        recorder: &mut SpanRecorder,
     ) -> Result<(Code, PhaseTimings), CompileError> {
         let start = Instant::now();
         recorder.open("compile");
@@ -496,7 +318,7 @@ impl Compiler {
     fn validate_salvage(
         &self,
         lir: &Lir,
-        plan: &crate::PassPlan,
+        plan: &PassPlan,
         salvaged: &Code,
         salvages: &[SalvageRecord],
     ) -> Result<(), CompileError> {
@@ -698,6 +520,7 @@ mod tests {
     use super::*;
     use record_ir::lir::StorageKind;
     use record_ir::Bank;
+    use record_opt::modes::ModeStrategy;
     use record_sim::run_program;
     use std::collections::HashMap as Map;
 
@@ -740,8 +563,8 @@ mod tests {
         let compiler = tic25_compiler();
         let ast = dfl::parse(FIR_SRC).unwrap();
         let lir = lower::lower(&ast).unwrap();
-        let optimized = compiler.compile_with(&lir, &CompileOptions::default()).unwrap();
-        let plain = compiler.compile_with(&lir, &CompileOptions::nothing()).unwrap();
+        let optimized = compiler.compile(&lir, &PassPlan::o2()).unwrap();
+        let plain = compiler.compile(&lir, &PassPlan::o0()).unwrap();
         assert!(
             optimized.size_words() <= plain.size_words(),
             "opt {} vs plain {}",
@@ -751,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn options_produce_equivalent_results() {
+    fn plans_produce_equivalent_results() {
         let compiler = tic25_compiler();
         let ast = dfl::parse(FIR_SRC).unwrap();
         let lir = lower::lower(&ast).unwrap();
@@ -760,17 +583,17 @@ mod tests {
         let inputs: Map<Symbol, Vec<i64>> =
             [(Symbol::new("x"), x.clone()), (Symbol::new("c"), c.clone())].into_iter().collect();
         let expect: i64 = x.iter().zip(&c).map(|(a, b)| a * b).sum();
-        for opts in [
-            CompileOptions::default(),
-            CompileOptions::nothing(),
-            CompileOptions { compact: false, ..CompileOptions::default() },
-            CompileOptions { use_rpt: false, ..CompileOptions::default() },
-            CompileOptions { offset_assignment: false, ..CompileOptions::default() },
-            CompileOptions { fold_constants: true, ..CompileOptions::default() },
+        for plan in [
+            PassPlan::o2(),
+            PassPlan::o0(),
+            PassPlan::o2().without("compact").without("hoist"),
+            PassPlan::o2().without("rpt"),
+            PassPlan::o2().without("offset"),
+            PassPlan::o2().folding(),
         ] {
-            let code = compiler.compile_with(&lir, &opts).unwrap();
+            let code = compiler.compile(&lir, &plan).unwrap();
             let (out, _) = run_program(&code, compiler.target(), &inputs).unwrap();
-            assert_eq!(out[&Symbol::new("y")], vec![expect], "opts {opts:?}");
+            assert_eq!(out[&Symbol::new("y")], vec![expect], "plan {plan:?}");
         }
     }
 

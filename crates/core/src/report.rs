@@ -12,7 +12,7 @@ use std::fmt;
 use record_ir::{dfl, lower};
 use record_sim::run_program;
 
-use crate::{baseline, handasm, CompileError, PhaseTimings, Session, SessionStats};
+use crate::{baseline, handasm, CompileError, CompileInput, PhaseTimings, Session, SessionStats};
 
 /// One Table 1 row.
 #[derive(Clone, Debug, PartialEq)]
@@ -126,7 +126,8 @@ pub fn table1_in(session: &Session) -> Result<Table1, CompileError> {
         .iter()
         .map(|k| Ok(lower::lower(&dfl::parse(k.source)?)?))
         .collect::<Result<Vec<_>, CompileError>>()?;
-    let recs = session.compile_batch(&target, &lirs)?;
+    let inputs: Vec<CompileInput> = lirs.iter().map(CompileInput::Lir).collect();
+    let recs = session.compile_batch(&target, &inputs, None)?;
 
     for ((kernel, lir), rec) in kernels.iter().zip(&lirs).zip(recs) {
         let hand = handasm::hand_code(kernel.name).ok_or_else(|| {
@@ -198,13 +199,14 @@ impl fmt::Display for PhaseBreakdown {
         writeln!(f, "{:-^78}", "")?;
         let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
         for (name, t) in &self.rows {
-            let other = us(t.total) - us(t.select) - us(t.compact);
+            let (select, compact) = (us(t.phase("select")), us(t.phase("compact")));
+            let other = us(t.total) - select - compact;
             writeln!(
                 f,
                 "{:<26} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>6} {:>6}",
                 name,
-                us(t.select),
-                us(t.compact),
+                select,
+                compact,
                 other.max(0.0),
                 us(t.total),
                 t.statements,
@@ -339,7 +341,8 @@ pub fn kernel_size_report(session: &Session) -> Result<Vec<KernelSize>, CompileE
             .iter()
             .map(|k| Ok(lower::lower(&dfl::parse(k.source)?)?))
             .collect::<Result<Vec<_>, CompileError>>()?;
-        let codes = session.compile_batch(&target, &lirs)?;
+        let inputs: Vec<CompileInput> = lirs.iter().map(CompileInput::Lir).collect();
+        let codes = session.compile_batch(&target, &inputs, None)?;
         for (kernel, code) in kernels.iter().zip(codes) {
             let code = code?;
             let hand = handasm::hand_code(kernel.name).ok_or_else(|| {
@@ -578,7 +581,7 @@ mod tests {
         for (name, t) in &pb.rows {
             assert!(t.statements > 0, "{name} selected no statements");
             assert!(t.insns > 0, "{name} emitted nothing");
-            assert!(t.total >= t.select, "{name}: total below select");
+            assert!(t.total >= t.phase("select"), "{name}: total below select");
         }
         assert_eq!(pb.stats.compiles, 10);
         let text = pb.to_string();

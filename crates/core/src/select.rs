@@ -81,6 +81,48 @@ impl SelectStats {
     }
 }
 
+/// The resource caps selection checks once per statement (see
+/// [`Emitter::emit_statements`]). The default checks nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SelectBudget<'b> {
+    /// Charged with each statement's variant count (at least one step),
+    /// so its wall-clock deadline is polled between statements.
+    pub search: Option<&'b record_opt::SearchBudget>,
+    /// Cap on the variants enumerated across the whole pass (resource
+    /// `"variants"`). The statement that crosses it is the last one
+    /// selected, and it enumerates at most one variant past the cap.
+    pub max_variants: Option<usize>,
+}
+
+impl SelectBudget<'_> {
+    /// The variant limit for the next statement when `spent` variants
+    /// were enumerated before it: stop enumerating one past the cap,
+    /// where the check after the statement fires anyway.
+    fn limit(&self, variant_limit: usize, spent: usize) -> usize {
+        match self.max_variants {
+            Some(cap) => variant_limit.min(cap.saturating_sub(spent) + 1),
+            None => variant_limit,
+        }
+    }
+
+    /// Charges one selected statement that enumerated `variants`, with
+    /// `spent` variants enumerated in the pass so far (this statement's
+    /// included).
+    fn charge(&self, variants: usize, spent: usize) -> Result<(), CompileError> {
+        let exceeded = |resource: &str| CompileError::Budget {
+            pass: "select".into(),
+            resource: resource.to_string(),
+        };
+        if let Some(search) = self.search {
+            search.charge(variants.max(1) as u64).map_err(|e| exceeded(e.resource))?;
+        }
+        if self.max_variants.is_some_and(|cap| spent > cap) {
+            return Err(exceeded("variants"));
+        }
+        Ok(())
+    }
+}
+
 /// The instruction selector for one target.
 pub struct Emitter<'t> {
     target: &'t TargetDesc,
@@ -229,6 +271,34 @@ impl<'t> Emitter<'t> {
         Ok((out, total_stats))
     }
 
+    /// Selects and emits each statement of a block on its own, adding the
+    /// selection counters into `stats` and checking `budget` after every
+    /// statement. Returns one instruction run per statement.
+    ///
+    /// # Errors
+    ///
+    /// As [`emit_assign`](Self::emit_assign), plus
+    /// [`CompileError::Budget`] once `budget` is exhausted.
+    pub fn emit_statements(
+        &mut self,
+        stmts: &[AssignStmt],
+        rules: &RuleSet,
+        variant_limit: usize,
+        fold_constants: bool,
+        budget: &SelectBudget<'_>,
+        stats: &mut SelectStats,
+    ) -> Result<Vec<Vec<Insn>>, CompileError> {
+        let mut runs = Vec::with_capacity(stmts.len());
+        for stmt in stmts {
+            let limit = budget.limit(variant_limit, stats.variants);
+            let (insns, one) = self.emit_assign(stmt, rules, limit, fold_constants)?;
+            stats.absorb(&one);
+            budget.charge(one.variants, stats.variants)?;
+            runs.push(insns);
+        }
+        Ok(runs)
+    }
+
     /// Selects and emits a whole basic block as a DAG: soundly repeated
     /// subtrees (see [`BlockDag`]) may be computed once into a parked
     /// register and referenced by every consumer statement.
@@ -236,7 +306,8 @@ impl<'t> Emitter<'t> {
     /// The method is a strict refinement of per-statement selection:
     ///
     /// 1. **Baseline** — every statement is first emitted through
-    ///    [`emit_assign`](Self::emit_assign) (verified, variant-optimized).
+    ///    [`emit_statements`](Self::emit_statements) (verified,
+    ///    variant-optimized, `budget` checked per statement).
     /// 2. **Analysis** — [`BlockDag::build`] reports the multi-use values
     ///    that are sound to share (no intervening store to memory they
     ///    read).
@@ -255,23 +326,24 @@ impl<'t> Emitter<'t> {
     ///
     /// Only multi-member register classes are eligible parking spots: a
     /// singleton class (accumulator-style machines) cannot hold a value
-    /// across statements without being clobbered.
+    /// across statements without being clobbered. The selection counters
+    /// are added into `stats`.
+    ///
+    /// # Errors
+    ///
+    /// As [`emit_statements`](Self::emit_statements).
     pub fn emit_block(
         &mut self,
         stmts: &[AssignStmt],
         rules: &RuleSet,
         variant_limit: usize,
         fold_constants: bool,
-    ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
-        let mut stats = SelectStats::default();
-
+        budget: &SelectBudget<'_>,
+        stats: &mut SelectStats,
+    ) -> Result<Vec<Insn>, CompileError> {
         // Stage A: verified per-statement baseline (also the fallback).
-        let mut baseline: Vec<Vec<Insn>> = Vec::with_capacity(stmts.len());
-        for stmt in stmts {
-            let (insns, s) = self.emit_assign(stmt, rules, variant_limit, fold_constants)?;
-            stats.absorb(&s);
-            baseline.push(insns);
-        }
+        let baseline =
+            self.emit_statements(stmts, rules, variant_limit, fold_constants, budget, stats)?;
         let flatten =
             |b: &[Vec<Insn>]| b.iter().flat_map(|v| v.iter().cloned()).collect::<Vec<Insn>>();
 
@@ -296,7 +368,7 @@ impl<'t> Emitter<'t> {
         stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.shared_subtrees += dag.shared.len() as u64;
         if dag.shared.is_empty() {
-            return Ok((flatten(&baseline), stats));
+            return Ok(flatten(&baseline));
         }
 
         // Eligible parking spots: multi-member register classes.
@@ -314,7 +386,7 @@ impl<'t> Emitter<'t> {
             .collect();
         if park_nts.is_empty() {
             stats.recomputes_chosen += dag.shared.len() as u64;
-            return Ok((flatten(&baseline), stats));
+            return Ok(flatten(&baseline));
         }
 
         // Stage C: greedy cut acceptance under the share-vs-recompute
@@ -391,7 +463,7 @@ impl<'t> Emitter<'t> {
             }
         }
         if accepted.is_empty() {
-            return Ok((flatten(&baseline), stats));
+            return Ok(flatten(&baseline));
         }
 
         // Stage D: emit with cuts, falling back to the verified baseline
@@ -408,13 +480,13 @@ impl<'t> Emitter<'t> {
             rules,
             variant_limit,
             fold_constants,
-            &mut stats,
+            stats,
         );
         self.release_held();
         match attempt {
             Ok(Some(out)) => {
                 stats.shares_taken += accepted.len() as u64;
-                Ok((out, stats))
+                Ok(out)
             }
             Ok(None) | Err(_) => {
                 self.reg_used = snap_used;
@@ -422,7 +494,7 @@ impl<'t> Emitter<'t> {
                 self.scratch_pool = snap_pool;
                 self.scratch_free = snap_free;
                 stats.recomputes_chosen += accepted.len() as u64;
-                Ok((flatten(&baseline), stats))
+                Ok(flatten(&baseline))
             }
         }
     }
@@ -1327,6 +1399,16 @@ mod tests {
         insns.iter().map(|i| i.words).sum()
     }
 
+    fn block(
+        e: &mut Emitter<'_>,
+        stmts: &[AssignStmt],
+        rules: &RuleSet,
+        limit: usize,
+        stats: &mut SelectStats,
+    ) -> Vec<Insn> {
+        e.emit_block(stmts, rules, limit, false, &SelectBudget::default(), stats).unwrap()
+    }
+
     #[test]
     fn block_sharing_pays_on_register_operand_machine() {
         // dsp56k reads multiplier inputs from the x/y register files: a
@@ -1341,7 +1423,8 @@ mod tests {
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32, false).unwrap();
+        let mut stats = SelectStats::default();
+        let insns = block(&mut e, &stmts, &RuleSet::all(), 32, &mut stats);
         assert!(stats.shared_subtrees >= 4, "{stats:?}");
         assert!(stats.shares_taken > 0, "{stats:?}");
         assert!(words(&insns) < words(&baseline), "{:?}", texts(&insns));
@@ -1364,7 +1447,8 @@ mod tests {
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32, false).unwrap();
+        let mut stats = SelectStats::default();
+        let insns = block(&mut e, &stmts, &RuleSet::all(), 32, &mut stats);
         assert!(stats.shared_subtrees >= 4, "{stats:?}");
         assert_eq!(stats.shares_taken, 0, "{stats:?}");
         assert_eq!(stats.recomputes_chosen, stats.shared_subtrees, "{stats:?}");
@@ -1385,7 +1469,8 @@ mod tests {
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::none(), 1, false).unwrap();
+        let mut stats = SelectStats::default();
+        let insns = block(&mut e, &stmts, &RuleSet::none(), 1, &mut stats);
         assert_eq!(stats.shares_taken, 0);
         assert_eq!(texts(&insns), texts(&baseline));
     }
@@ -1402,7 +1487,8 @@ mod tests {
             assign("z", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("w"))),
         ];
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32, false).unwrap();
+        let mut stats = SelectStats::default();
+        let insns = block(&mut e, &stmts, &RuleSet::all(), 32, &mut stats);
         // `a` may share; `(a + w)` and `w` must not be candidates at all
         assert!(stats.shared_subtrees <= 1, "{stats:?}");
         // the stored-to symbol is still written by the middle statement

@@ -10,11 +10,14 @@
 //! candidates with full structural equality, so a hit is both fast and
 //! exact.
 //!
-//! Sessions are thread-safe (`&Session` can be shared freely) and offer
-//! [`compile_batch`](Session::compile_batch): independent kernels are
-//! compiled concurrently on scoped threads against the *same* cached
+//! Every compile goes through one of two entry points:
+//! [`compile`](Session::compile) for a single program (source or LIR,
+//! with an optional deadline and span recorder) and
+//! [`compile_batch`](Session::compile_batch), which compiles independent
+//! programs concurrently on scoped threads against the *same* cached
 //! tables, with results returned in input order regardless of which
-//! thread finished first.
+//! thread finished first. Sessions are thread-safe (`&Session` can be
+//! shared freely).
 //!
 //! Every compile routed through a session also feeds the session-wide
 //! [`PhaseTimings`] aggregate, giving the batch driver a per-phase
@@ -31,7 +34,7 @@ use record_trace::{MetricsRegistry, SpanRecorder, Tracer};
 
 use crate::cache::{self, CacheKey, CacheStats, CompileCache};
 use crate::timing::PhaseTimings;
-use crate::{CompileError, CompileOptions, Compiler, PassPlan};
+use crate::{CompileError, Compiler, PassPlan};
 
 /// In-memory entry bound of the code cache when
 /// [`Session::with_cache_dir`] is called without a preceding
@@ -112,6 +115,16 @@ pub struct SessionStats {
     pub tables_loaded: u64,
 }
 
+/// What a [`Session`] compiles: a mini-DFL source text (parsed and
+/// lowered as part of the compile) or an already lowered program.
+#[derive(Clone, Copy, Debug)]
+pub enum CompileInput<'a> {
+    /// Mini-DFL source text.
+    Source(&'a str),
+    /// A lowered program.
+    Lir(&'a Lir),
+}
+
 /// A compilation service: per-target compiler cache + parallel batch
 /// driver + phase-timing aggregation.
 ///
@@ -131,9 +144,8 @@ pub struct SessionStats {
 /// # Ok::<(), record::CompileError>(())
 /// ```
 pub struct Session {
-    options: CompileOptions,
-    /// Overrides `options` when set: every compile runs this exact plan.
-    plan: Option<PassPlan>,
+    /// The plan every compile runs.
+    plan: PassPlan,
     /// Buckets by [`cache_key`]; entries within a bucket are confirmed
     /// by full `TargetDesc` equality, so key collisions are harmless.
     compilers: RwLock<HashMap<u64, Vec<Arc<Compiler>>>>,
@@ -161,17 +173,10 @@ impl Default for Session {
 }
 
 impl Session {
-    /// A session compiling with [`CompileOptions::default`].
+    /// A session compiling with the `O2` preset ([`PassPlan::o2`]).
     pub fn new() -> Self {
-        Self::with_options(CompileOptions::default())
-    }
-
-    /// A session compiling with explicit options (applied to every
-    /// compile routed through it).
-    pub fn with_options(options: CompileOptions) -> Self {
         Session {
-            options,
-            plan: None,
+            plan: PassPlan::o2(),
             compilers: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -260,19 +265,12 @@ impl Session {
         &self.metrics
     }
 
-    /// Routes every compile in this session through an explicit
-    /// [`PassPlan`] instead of the plan derived from the options —
-    /// the hook for injecting custom passes (or custom budgets) into
-    /// batch compilation.
+    /// Routes every compile in this session through `plan` — the hook
+    /// for other presets, custom passes or custom budgets.
     #[must_use]
     pub fn with_plan(mut self, plan: PassPlan) -> Self {
-        self.plan = Some(plan);
+        self.plan = plan;
         self
-    }
-
-    /// The options every compile in this session uses.
-    pub fn options(&self) -> &CompileOptions {
-        &self.options
     }
 
     /// The cached compiler for `target`, generating (and caching) it on
@@ -366,19 +364,42 @@ impl Session {
         }
     }
 
-    /// Compiles a lowered program with the session's options, through the
-    /// compiler cache.
+    /// Compiles one program with the session's plan, through the
+    /// compiler cache, and absorbs its timings into the session
+    /// aggregate.
+    ///
+    /// With a `deadline`, the pipeline checks it at every pass boundary
+    /// and clamps each search budget to it, so a compile past its budget
+    /// returns [`CompileError::Budget`] with resource `"deadline"`
+    /// instead of running to completion; a compile that is *already*
+    /// expired fails before any work (the code-cache lookup included).
+    /// This is the per-request admission primitive the compile daemon
+    /// serves from.
+    ///
+    /// With an *enabled* `recorder`, the compile's `parse`/`lower`/
+    /// `compile` span trees and `code-cache-hit`/`code-cache-miss` events
+    /// go to it and the session tracer sees nothing of this compile (the
+    /// request owns its spans; submitting them to the shared tracer too
+    /// would double-count). Otherwise the session tracer, if any, gets
+    /// the compile's span tree.
     ///
     /// # Errors
     ///
     /// See [`CompileError`].
-    pub fn compile(&self, target: &TargetDesc, lir: &Lir) -> Result<Code, CompileError> {
+    pub fn compile(
+        &self,
+        target: &TargetDesc,
+        input: CompileInput<'_>,
+        deadline: Option<std::time::Instant>,
+        recorder: Option<&mut SpanRecorder>,
+    ) -> Result<(Code, PhaseTimings), CompileError> {
         let compiler = self.compiler_for(target)?;
-        let mut rec = SpanRecorder::disabled();
+        let mut disabled = SpanRecorder::disabled();
+        let rec = recorder.unwrap_or(&mut disabled);
         let (code, timings) =
-            self.count_errors(self.compile_lir(&compiler, lir, None, &mut rec))?;
+            self.count_errors(self.compile_one(&compiler, input, deadline, rec))?;
         self.record(&timings);
-        Ok(code)
+        Ok((code, timings))
     }
 
     /// Parses, lowers and compiles a mini-DFL source text through the
@@ -392,8 +413,7 @@ impl Session {
     }
 
     /// Like [`compile_source`](Session::compile_source), additionally
-    /// returning this compile's phase timings (they are also absorbed
-    /// into the session aggregate).
+    /// returning this compile's phase timings.
     ///
     /// # Errors
     ///
@@ -403,76 +423,23 @@ impl Session {
         target: &TargetDesc,
         source: &str,
     ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_source_inner(target, source, None, &mut SpanRecorder::disabled())
+        self.compile(target, CompileInput::Source(source), None, None)
     }
 
-    /// [`compile_source_timed`](Session::compile_source_timed) under an
-    /// absolute wall-clock deadline: the pipeline checks `deadline` at
-    /// every pass boundary and clamps each search budget to it, so a
-    /// request past its budget returns [`CompileError::Budget`] with
-    /// resource `"deadline"` instead of running to completion. A request
-    /// that is *already* expired fails before any work (including the
-    /// cache lookup) happens. This is the per-request admission
-    /// primitive the compile daemon serves from.
+    /// Compiles independent programs concurrently on scoped threads, all
+    /// sharing the cached compiler for `target`; sources are parsed and
+    /// lowered on the worker threads too.
     ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source_deadline(
-        &self,
-        target: &TargetDesc,
-        source: &str,
-        deadline: std::time::Instant,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        let mut rec = SpanRecorder::disabled();
-        self.compile_source_inner(target, source, Some(deadline), &mut rec)
-    }
-
-    /// [`compile_source_deadline`](Session::compile_source_deadline)
-    /// recording into a caller-owned [`SpanRecorder`] — the request-
-    /// scoped tracing hook the compile daemon uses: the caller hands in
-    /// one recorder per request (no per-request [`Tracer`] allocation)
-    /// and gets `parse`/`lower`/`compile` span trees plus
-    /// `code-cache-hit`/`code-cache-miss` events back through it. When
-    /// the recorder is *enabled* it takes precedence over the session
-    /// tracer for this compile (the request owns its spans; submitting
-    /// them to the shared tracer too would double-count); a disabled
-    /// recorder leaves the tracer path exactly as before.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source_deadline_recorded(
-        &self,
-        target: &TargetDesc,
-        source: &str,
-        deadline: std::time::Instant,
-        rec: &mut SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_source_inner(target, source, Some(deadline), rec)
-    }
-
-    fn compile_source_inner(
-        &self,
-        target: &TargetDesc,
-        source: &str,
-        deadline: Option<std::time::Instant>,
-        rec: &mut SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        let compiler = self.compiler_for(target)?;
-        let (code, timings) =
-            self.count_errors(self.compile_one_source(&compiler, source, deadline, rec))?;
-        self.record(&timings);
-        Ok((code, timings))
-    }
-
-    /// Compiles independent lowered programs concurrently on scoped
-    /// threads, all sharing the cached compiler for `target`.
-    ///
-    /// The result vector is index-aligned with `programs` — slot `i`
+    /// The result vector is index-aligned with `inputs` — slot `i`
     /// always holds program `i`'s outcome, so the output is deterministic
     /// regardless of thread scheduling. A program that fails to compile
     /// yields an `Err` in its slot without disturbing its neighbours.
+    ///
+    /// With a `deadline` for the whole batch, jobs that have not started
+    /// when it passes — and jobs whose in-flight pipeline crosses it at a
+    /// pass boundary — fill their slot with [`CompileError::Budget`]
+    /// (resource `"deadline"`) instead of running to completion;
+    /// already-finished neighbours keep their results.
     ///
     /// # Errors
     ///
@@ -481,79 +448,13 @@ impl Session {
     pub fn compile_batch(
         &self,
         target: &TargetDesc,
-        programs: &[Lir],
+        inputs: &[CompileInput<'_>],
+        deadline: Option<std::time::Instant>,
     ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
         let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(programs.len());
-        self.run_batch(programs.len(), None, |i| {
-            self.compile_lir(&compiler, &programs[i], None, &mut SpanRecorder::disabled())
-        })
-    }
-
-    /// [`compile_batch`](Session::compile_batch) under an absolute
-    /// wall-clock deadline for the whole batch. Jobs that have not
-    /// started when the deadline passes — and jobs whose in-flight
-    /// pipeline crosses it at a pass boundary — fill their slot with
-    /// [`CompileError::Budget`] (resource `"deadline"`) instead of
-    /// running to completion; already-finished neighbours keep their
-    /// results. Per-pass deadlines still apply on top.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Target`] if the target description is invalid.
-    pub fn compile_batch_deadline(
-        &self,
-        target: &TargetDesc,
-        programs: &[Lir],
-        deadline: std::time::Instant,
-    ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
-        let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(programs.len());
-        self.run_batch(programs.len(), Some(deadline), |i| {
-            self.compile_lir(&compiler, &programs[i], Some(deadline), &mut SpanRecorder::disabled())
-        })
-    }
-
-    /// [`compile_batch`](Session::compile_batch) over source texts:
-    /// parsing, lowering and compiling all happen on the worker threads.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Target`] if the target description is invalid.
-    pub fn compile_batch_sources(
-        &self,
-        target: &TargetDesc,
-        sources: &[&str],
-    ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
-        let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(sources.len());
-        self.run_batch(sources.len(), None, |i| {
-            self.compile_one_source(&compiler, sources[i], None, &mut SpanRecorder::disabled())
-        })
-    }
-
-    /// [`compile_batch_sources`](Session::compile_batch_sources) under
-    /// an absolute wall-clock deadline (see
-    /// [`compile_batch_deadline`](Session::compile_batch_deadline)).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Target`] if the target description is invalid.
-    pub fn compile_batch_sources_deadline(
-        &self,
-        target: &TargetDesc,
-        sources: &[&str],
-        deadline: std::time::Instant,
-    ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
-        let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(sources.len());
-        self.run_batch(sources.len(), Some(deadline), |i| {
-            self.compile_one_source(
-                &compiler,
-                sources[i],
-                Some(deadline),
-                &mut SpanRecorder::disabled(),
-            )
+        self.note_batch_reuse(inputs.len());
+        self.run_batch(inputs.len(), deadline, |i| {
+            self.compile_one(&compiler, inputs[i], deadline, &mut SpanRecorder::disabled())
         })
     }
 
@@ -638,9 +539,8 @@ impl Session {
         }
     }
 
-    /// The one compile primitive every session entry point funnels into:
-    /// the explicit plan when one is set, the options-derived plan
-    /// otherwise. With the code cache enabled, the compile is keyed and
+    /// The compile primitive every session entry point funnels into. With
+    /// the code cache enabled, the compile is keyed and
     /// looked up first — a hit returns the stored code without running
     /// any pass (`from_cache` timings, `labels_computed == 0`), and a
     /// miss stores the freshly compiled code for next time.
@@ -652,10 +552,6 @@ impl Session {
         rec: &mut SpanRecorder,
     ) -> Result<(Code, PhaseTimings), CompileError> {
         let tracer = self.tracer.as_deref();
-        // kernel names are caller-supplied (hostile, in the daemon) —
-        // they flow into a label value here and are escaped by the
-        // exporter, never interpolated raw
-        self.metrics.inc_with("record_kernel_compiles_total", &[("kernel", lir.name.as_str())]);
         if let Some(at) = deadline {
             if std::time::Instant::now() >= at {
                 // already expired on arrival: refuse before any work,
@@ -666,26 +562,18 @@ impl Session {
                 });
             }
         }
-        let options_plan;
-        let base_plan = match &self.plan {
-            Some(plan) => plan,
-            None => {
-                options_plan = PassPlan::from_options(&self.options);
-                &options_plan
-            }
-        };
         // the hard deadline is excluded from the plan fingerprint, so
         // cloning it in never fragments the code cache
         let deadline_plan;
         let plan = match deadline {
             Some(at) => {
-                deadline_plan = base_plan.clone().deadline(at);
+                deadline_plan = self.plan.clone().deadline(at);
                 &deadline_plan
             }
-            None => base_plan,
+            None => &self.plan,
         };
         let Some(cache) = &self.code_cache else {
-            return self.compile_plan_dispatch(compiler, lir, plan, rec);
+            return self.run_pipeline(compiler, lir, plan, rec);
         };
         let key = CacheKey {
             program: record_ir::fingerprint::program_fingerprint(lir),
@@ -709,7 +597,7 @@ impl Session {
         if let Some(t) = tracer {
             t.instant("code-cache-miss", &[("program", lir.name.as_str().into())]);
         }
-        let result = self.compile_plan_dispatch(compiler, lir, plan, rec);
+        let result = self.run_pipeline(compiler, lir, plan, rec);
         if let Ok((code, _)) = &result {
             let mut guard = cache.lock().expect("code cache lock");
             guard.insert(key, lir, &compiler.target().name, code);
@@ -718,13 +606,20 @@ impl Session {
         result
     }
 
-    fn compile_one_source(
+    /// [`compile_lir`](Session::compile_lir) behind the frontend: a
+    /// source text is parsed and lowered first, under `parse`/`lower`
+    /// spans, and the frontend times land in the compile's timings.
+    fn compile_one(
         &self,
         compiler: &Compiler,
-        source: &str,
+        input: CompileInput<'_>,
         deadline: Option<std::time::Instant>,
         rec: &mut SpanRecorder,
     ) -> Result<(Code, PhaseTimings), CompileError> {
+        let source = match input {
+            CompileInput::Lir(lir) => return self.compile_lir(compiler, lir, deadline, rec),
+            CompileInput::Source(source) => source,
+        };
         let t_parse = std::time::Instant::now();
         rec.open("parse");
         let ast = record_ir::dfl::parse(source);
@@ -754,18 +649,20 @@ impl Session {
     /// compile: an enabled request-scoped recorder wins over the session
     /// tracer (the request owns its spans; submitting them to the shared
     /// tracer too would double-count the compile).
-    fn compile_plan_dispatch(
+    fn run_pipeline(
         &self,
         compiler: &Compiler,
         lir: &Lir,
         plan: &PassPlan,
         rec: &mut SpanRecorder,
     ) -> Result<(Code, PhaseTimings), CompileError> {
-        if rec.is_enabled() {
-            compiler.compile_plan_recorded(lir, plan, rec)
-        } else {
-            compiler.compile_plan_traced(lir, plan, self.tracer.as_deref())
-        }
+        let Some(tracer) = self.tracer.as_deref().filter(|_| !rec.is_enabled()) else {
+            return compiler.compile_recorded(lir, plan, rec);
+        };
+        let mut own = tracer.recorder();
+        let result = compiler.compile_recorded(lir, plan, &mut own);
+        tracer.submit(own);
+        result
     }
 
     /// Fans `n` jobs out over scoped worker threads (work-stealing by
@@ -895,6 +792,10 @@ mod tests {
     use record_ir::Symbol;
     use record_sim::run_program;
 
+    fn sources_of<'a>(sources: &[&'a str]) -> Vec<CompileInput<'a>> {
+        sources.iter().copied().map(CompileInput::Source).collect()
+    }
+
     fn src(i: usize) -> String {
         format!("program p{i}; var x, y: fix; begin y := x * {} + {i}; end", i + 2)
     }
@@ -968,7 +869,7 @@ mod tests {
         let target = record_isa::targets::tic25::target();
         let sources: Vec<String> = (0..8).map(src).collect();
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        let batch = session.compile_batch_sources(&target, &refs).unwrap();
+        let batch = session.compile_batch(&target, &sources_of(&refs), None).unwrap();
         assert_eq!(batch.len(), refs.len());
         let fresh = Compiler::for_target(target.clone()).unwrap();
         for (i, outcome) in batch.iter().enumerate() {
@@ -985,7 +886,7 @@ mod tests {
         let target = record_isa::targets::tic25::target();
         let good = src(0);
         let sources = [good.as_str(), "program broken; begin nope", good.as_str()];
-        let batch = session.compile_batch_sources(&target, &sources).unwrap();
+        let batch = session.compile_batch(&target, &sources_of(&sources), None).unwrap();
         assert!(batch[0].is_ok());
         assert!(batch[1].is_err());
         assert!(batch[2].is_ok());
@@ -1001,7 +902,8 @@ mod tests {
                 record_ir::lower::lower(&ast).unwrap()
             })
             .collect();
-        let batch = session.compile_batch(&target, &lirs).unwrap();
+        let inputs: Vec<CompileInput> = lirs.iter().map(CompileInput::Lir).collect();
+        let batch = session.compile_batch(&target, &inputs, None).unwrap();
         for (i, outcome) in batch.iter().enumerate() {
             let code = outcome.as_ref().unwrap();
             let inputs = [(Symbol::new("x"), vec![5i64])].into_iter().collect();
@@ -1021,7 +923,7 @@ mod tests {
             sequential.compile_source(&target, s).unwrap();
         }
         let batch = Session::new();
-        batch.compile_batch_sources(&target, &refs).unwrap();
+        batch.compile_batch(&target, &sources_of(&refs), None).unwrap();
 
         let (s, b) = (sequential.stats(), batch.stats());
         assert_eq!((b.hits, b.misses), (s.hits, s.misses), "batch {b:?} vs sequential {s:?}");
@@ -1052,7 +954,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let session = Session::new();
         let target = record_isa::targets::tic25::target();
-        assert!(session.compile_batch(&target, &[]).unwrap().is_empty());
+        assert!(session.compile_batch(&target, &[], None).unwrap().is_empty());
     }
 
     #[test]
@@ -1130,13 +1032,13 @@ mod tests {
         let sources: Vec<String> = (0..4).map(src).collect();
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
         let cold: Vec<String> = session
-            .compile_batch_sources(&target, &refs)
+            .compile_batch(&target, &sources_of(&refs), None)
             .unwrap()
             .into_iter()
             .map(|r| r.unwrap().render())
             .collect();
         let warm: Vec<String> = session
-            .compile_batch_sources(&target, &refs)
+            .compile_batch(&target, &sources_of(&refs), None)
             .unwrap()
             .into_iter()
             .map(|r| r.unwrap().render())

@@ -1,9 +1,9 @@
 //! Per-phase instrumentation of the compilation pipeline.
 //!
-//! Every timed compile (see [`Compiler::compile_timed`](crate::Compiler::compile_timed)
+//! Every compile (see [`Compiler::compile_recorded`](crate::Compiler::compile_recorded)
 //! and the [`Session`](crate::Session) APIs) fills in a [`PhaseTimings`]:
-//! one wall-clock duration per pipeline phase of Fig. 2 plus a few work
-//! counters. Timings are additive — [`PhaseTimings::absorb`] accumulates
+//! one [`PassRecord`] per executed pass, the frontend and total wall-clock
+//! times, and the selection work counters. Timings are additive — [`PhaseTimings::absorb`] accumulates
 //! them across statements, kernels or whole batches — so the same struct
 //! serves a single compile and a session-wide aggregate.
 
@@ -106,30 +106,27 @@ pub struct SalvageRecord {
     pub reason: String,
 }
 
-/// Wall-clock time and work counters, broken down by pipeline phase.
+/// The display phases after `parse` and `lower`, each with the passes
+/// whose time it sums (the phase boundaries of Fig. 2; custom passes
+/// count only towards `total`).
+const PHASES: [(&str, &[&str]); 7] = [
+    ("treeify", &["treeify"]),
+    ("select", &["fold", "select"]),
+    ("layout", &["layout", "offset"]),
+    ("banks", &["banks"]),
+    ("address", &["address"]),
+    ("compact", &["compact", "hoist", "rpt"]),
+    ("modes", &["modes"]),
+];
+
+/// Wall-clock time and work counters of a compile, per pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// DFL lexing + parsing (zero when compiling from a prebuilt LIR).
     pub parse: Duration,
     /// AST → LIR lowering (zero when compiling from a prebuilt LIR).
     pub lower: Duration,
-    /// Data-flow tree decomposition / CSE.
-    pub treeify: Duration,
-    /// Variant enumeration + BURS covering + emission (incl. probe
-    /// verification and clobber splitting).
-    pub select: Duration,
-    /// Storage layout / simple offset assignment.
-    pub layout: Duration,
-    /// Memory-bank assignment (dual-bank targets).
-    pub banks: Duration,
-    /// AGU address-register assignment.
-    pub address: Duration,
-    /// Compaction: fusion, scheduling / parallel-move packing, hoisting,
-    /// hardware-repeat conversion.
-    pub compact: Duration,
-    /// Mode-change insertion.
-    pub modes: Duration,
-    /// End-to-end time of the compile (≥ the sum of the phases).
+    /// End-to-end time of the compile (≥ the sum of the passes).
     pub total: Duration,
     /// Statements selected (after tree decomposition).
     pub statements: usize,
@@ -165,9 +162,7 @@ pub struct PhaseTimings {
     /// which describe work actually performed.
     pub from_cache: bool,
     /// Per-pass records in execution order, as registered by the
-    /// `PassPlan` that drove the compile. The fixed-name fields above are
-    /// maintained as coarse buckets for backward compatibility; this is
-    /// the full dynamic trace.
+    /// `PassPlan` that drove the compile.
     pub passes: Vec<PassRecord>,
     /// Graceful-degradation trail: one record per best-effort pass the
     /// driver dropped to salvage this compile (empty on a clean compile).
@@ -179,13 +174,6 @@ impl PhaseTimings {
     pub fn absorb(&mut self, other: &PhaseTimings) {
         self.parse += other.parse;
         self.lower += other.lower;
-        self.treeify += other.treeify;
-        self.select += other.select;
-        self.layout += other.layout;
-        self.banks += other.banks;
-        self.address += other.address;
-        self.compact += other.compact;
-        self.modes += other.modes;
         self.total += other.total;
         self.statements += other.statements;
         self.variants += other.variants;
@@ -214,39 +202,26 @@ impl PhaseTimings {
         self.salvages.extend(other.salvages.iter().cloned());
     }
 
-    /// Folds one pass's measurement into the matching legacy phase bucket
-    /// (several passes share a bucket, mirroring the pre-pass-manager
-    /// phase boundaries) and appends its dynamic [`PassRecord`].
-    pub(crate) fn record_pass(&mut self, record: PassRecord) {
-        let bucket = match record.name.as_str() {
-            "treeify" => Some(&mut self.treeify),
-            "fold" | "select" => Some(&mut self.select),
-            "layout" | "offset" => Some(&mut self.layout),
-            "banks" => Some(&mut self.banks),
-            "address" => Some(&mut self.address),
-            "compact" | "hoist" | "rpt" => Some(&mut self.compact),
-            "modes" => Some(&mut self.modes),
-            _ => None, // custom passes appear only in the dynamic trace
-        };
-        if let Some(bucket) = bucket {
-            *bucket += record.time;
-        }
-        self.passes.push(record);
+    /// Total time of the passes named in `names`.
+    fn pass_time(&self, names: &[&str]) -> Duration {
+        self.passes.iter().filter(|p| names.contains(&p.name.as_str())).map(|p| p.time).sum()
     }
 
-    /// The phases in pipeline order, with display names.
+    /// The phases in pipeline order, with display names: the frontend,
+    /// then the passes grouped at the phase boundaries of Fig. 2.
     pub fn phases(&self) -> [(&'static str, Duration); 9] {
-        [
-            ("parse", self.parse),
-            ("lower", self.lower),
-            ("treeify", self.treeify),
-            ("select", self.select),
-            ("layout", self.layout),
-            ("banks", self.banks),
-            ("address", self.address),
-            ("compact", self.compact),
-            ("modes", self.modes),
-        ]
+        let mut out = [("parse", self.parse); 9];
+        out[1] = ("lower", self.lower);
+        for (slot, (name, passes)) in out[2..].iter_mut().zip(PHASES) {
+            *slot = (name, self.pass_time(passes));
+        }
+        out
+    }
+
+    /// The time of the phase `name` of [`phases`](PhaseTimings::phases)
+    /// (zero for an unknown name).
+    pub fn phase(&self, name: &str) -> Duration {
+        self.phases().into_iter().find(|(n, _)| *n == name).map_or(Duration::ZERO, |(_, d)| d)
     }
 }
 
@@ -308,25 +283,42 @@ fn format_duration(d: Duration) -> String {
 mod tests {
     use super::*;
 
+    fn select_taking(us: u64, statements: usize) -> PhaseTimings {
+        let select = PassRecord {
+            name: "select".into(),
+            time: Duration::from_micros(us),
+            runs: 1,
+            ..Default::default()
+        };
+        PhaseTimings { statements, passes: vec![select], ..Default::default() }
+    }
+
     #[test]
     fn absorb_is_additive() {
-        let mut a =
-            PhaseTimings { select: Duration::from_micros(10), statements: 2, ..Default::default() };
-        let b =
-            PhaseTimings { select: Duration::from_micros(5), statements: 3, ..Default::default() };
-        a.absorb(&b);
-        assert_eq!(a.select, Duration::from_micros(15));
+        let mut a = select_taking(10, 2);
+        a.absorb(&select_taking(5, 3));
+        assert_eq!(a.pass_time(&["select"]), Duration::from_micros(15));
+        assert_eq!(a.passes.len(), 1, "records merge by pass name");
         assert_eq!(a.statements, 5);
     }
 
     #[test]
+    fn phases_group_passes_at_the_phase_boundaries() {
+        let mut t = select_taking(10, 1);
+        for (name, us) in [("fold", 1), ("offset", 2), ("layout", 3), ("hoist", 4), ("custom", 5)] {
+            let time = Duration::from_micros(us);
+            t.passes.push(PassRecord { name: name.into(), time, runs: 1, ..Default::default() });
+        }
+        let phases: std::collections::HashMap<_, _> = t.phases().into_iter().collect();
+        assert_eq!(phases["select"], Duration::from_micros(11));
+        assert_eq!(phases["layout"], Duration::from_micros(5));
+        assert_eq!(phases["compact"], Duration::from_micros(4));
+        assert_eq!(phases["banks"], Duration::ZERO);
+    }
+
+    #[test]
     fn display_renders_nonempty_phases() {
-        let t = PhaseTimings {
-            select: Duration::from_micros(80),
-            total: Duration::from_micros(100),
-            statements: 1,
-            ..Default::default()
-        };
+        let t = PhaseTimings { total: Duration::from_micros(100), ..select_taking(80, 1) };
         let s = t.to_string();
         assert!(s.contains("select"), "{s}");
         assert!(!s.contains("banks"), "zero phases are elided: {s}");

@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use record::{Budgets, CompileCache, PassPlan, ScrubStats, Session};
+use record::{Budgets, CompileCache, CompileInput, PassPlan, ScrubStats, Session};
 use record_isa::TargetDesc;
 use record_trace::metrics::Metric;
 use record_trace::{FlightRecorder, MetricsRegistry, RequestRecord, SpanRecorder};
@@ -370,8 +370,8 @@ impl Service {
             }
         };
         let t_compile = Instant::now();
-        let result =
-            session.compile_source_deadline_recorded(&target, &request.program, deadline, rec);
+        let program = CompileInput::Source(&request.program);
+        let result = session.compile(&target, program, Some(deadline), Some(rec));
         record.compile_us = t_compile.elapsed().as_micros() as u64;
         match result {
             Ok((code, timings)) => {

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use record::{baseline, CompileOptions, Compiler};
+use record::{baseline, Compiler, PassPlan};
 use record_ir::{dfl, lower, Symbol};
 use record_isa::TargetDesc;
 use record_sim::run_program;
@@ -171,8 +171,8 @@ fn real_main() -> Result<(), String> {
         }
         baseline::compile(&lir).map_err(|e| e.to_string())?
     } else {
-        let opts = if args.no_opt { CompileOptions::nothing() } else { CompileOptions::default() };
-        compiler.compile_with(&lir, &opts).map_err(|e| e.to_string())?
+        let plan = if args.no_opt { PassPlan::o0() } else { PassPlan::o2() };
+        compiler.compile(&lir, &plan).map_err(|e| e.to_string())?
     };
 
     let mut out = String::new();

@@ -36,10 +36,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use record::{
-    reference_select_pass, CompilationUnit, CompileError, CompileOptions, Compiler, Pass, PassPlan,
-    Tracer,
+    reference_select_pass, CompilationUnit, CompileError, Compiler, Pass, PassPlan, Tracer,
 };
 use record_ir::lir::{Lir, StorageKind};
+use record_ir::transform::RuleSet;
 use record_ir::Symbol;
 use record_isa::cube::CubeParams;
 use record_isa::{Code, TargetDesc};
@@ -238,19 +238,10 @@ pub fn run_frontend_fuzz_traced(
 /// swaps the block-level DAG selector for the per-statement reference
 /// selector, so every generated program differentially checks DAG
 /// covering against the golden oracle on the simulator.
-fn plans() -> [(&'static str, PassPlan); 4] {
-    let opts = CompileOptions::default();
-    [
-        ("O0", PassPlan::o0().strict(true)),
-        ("O2", PassPlan::o2().strict(true)),
-        (
-            "O2-ref",
-            PassPlan::from_options(&opts)
-                .replacing("select", reference_select_pass(opts.rules, opts.variant_limit))
-                .strict(true),
-        ),
-        ("O2+flaky", PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass))),
-    ]
+fn plans() -> Vec<(&'static str, PassPlan)> {
+    let mut plans = target_plans().to_vec();
+    plans.push(("O2+flaky", PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass))));
+    plans
 }
 
 /// Deterministic simulator inputs for the program's `in` storage.
@@ -350,7 +341,7 @@ fn differential_case(
     };
     let mut compiled: Vec<(&'static str, Code)> = Vec::new();
     for (name, plan) in plans {
-        match compiler.compile_plan(&lir, plan) {
+        match compiler.compile(&lir, plan) {
             Ok(code) => compiled.push((name, code)),
             // a poisoned-pass compile must *never* fail: salvage drops the
             // flaky pass and retries. For the straight plans, capacity
@@ -507,14 +498,13 @@ pub fn run_differential_fuzz_traced(
 /// target: the mandatory-passes baseline, the full optimizing pipeline,
 /// and the per-statement reference selector (the DAG-covering oracle).
 pub fn target_plans() -> [(&'static str, PassPlan); 3] {
-    let opts = CompileOptions::default();
     [
         ("O0", PassPlan::o0().strict(true)),
         ("O2", PassPlan::o2().strict(true)),
         (
             "O2-ref",
-            PassPlan::from_options(&opts)
-                .replacing("select", reference_select_pass(opts.rules, opts.variant_limit))
+            PassPlan::o2()
+                .replacing("select", reference_select_pass(RuleSet::all(), 32))
                 .strict(true),
         ),
     ]

@@ -98,21 +98,18 @@ fn program_target_and_plan_edits_each_miss() {
 /// dsp56k, so serving a stale entry would be observable.
 #[test]
 fn dag_cover_toggle_misses_the_cache() {
-    use record::CompileOptions;
+    use record::select_pass;
+    use record_ir::transform::RuleSet;
     let [_, dsp56k] = targets();
     let kernel = record_dspstone::kernel("complex_multiply").expect("known kernel");
 
     let dir = scratch_dir("dag-toggle");
-    let on = Session::new()
-        .with_plan(PassPlan::from_options(&CompileOptions::default()))
-        .with_cache_dir(&dir);
+    let on = Session::new().with_plan(PassPlan::o2()).with_cache_dir(&dir);
     let dag_code = on.compile_source(&dsp56k, kernel.source).unwrap();
 
+    let per_statement = select_pass(RuleSet::all(), 32, false);
     let off = Session::new()
-        .with_plan(PassPlan::from_options(&CompileOptions {
-            dag_cover: false,
-            ..CompileOptions::default()
-        }))
+        .with_plan(PassPlan::o2().replacing("select", per_statement))
         .with_cache_dir(&dir);
     let tree_code = off.compile_source(&dsp56k, kernel.source).unwrap();
     assert_eq!(off.stats().code_hits, 0, "dag_cover toggle must not hit");

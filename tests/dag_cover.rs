@@ -17,9 +17,10 @@
 
 use std::collections::HashMap;
 
-use record::{reference_select_pass, CompileError, CompileOptions, Compiler, PassPlan};
+use record::{reference_select_pass, select_pass, CompileError, Compiler, PassPlan, SpanRecorder};
 use record_ir::blockdag::read_bases;
 use record_ir::lir::AssignStmt;
+use record_ir::transform::RuleSet;
 use record_ir::{dfl, lower, BinOp, BlockDag, MemRef, Symbol, Tree, TreePool};
 use record_prop::{run_cases, Rng};
 use record_sim::run_program;
@@ -28,14 +29,25 @@ fn targets() -> [record_isa::TargetDesc; 2] {
     [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()]
 }
 
-/// `O0` and `O2` option sets with DAG covering forced on (plain `O0`
-/// leaves it off; the matrix must exercise the DAG path at both ends of
-/// the optimization axis).
-fn presets() -> [(&'static str, CompileOptions); 2] {
+/// `O0` and `O2` with DAG covering forced on (plain `O0` leaves it off;
+/// the matrix must exercise the DAG path at both ends of the
+/// optimization axis), each beside the same plan with the per-statement
+/// reference selector.
+fn presets() -> [(&'static str, PassPlan, PassPlan); 2] {
+    let o0 = |select| PassPlan::o0().replacing("select", select);
     [
-        ("O0", CompileOptions { dag_cover: true, ..CompileOptions::nothing() }),
-        ("O2", CompileOptions::default()),
+        (
+            "O0",
+            o0(select_pass(RuleSet::none(), 1, true)),
+            o0(reference_select_pass(RuleSet::none(), 1)),
+        ),
+        ("O2", PassPlan::o2(), o2_reference()),
     ]
+}
+
+/// `O2` with the per-statement reference selector instead of DAG covering.
+fn o2_reference() -> PassPlan {
+    PassPlan::o2().replacing("select", reference_select_pass(RuleSet::all(), 32))
 }
 
 /// The full matrix: 10 kernels × {tic25, dsp56k} × {O0, O2}, DAG-selected
@@ -44,16 +56,12 @@ fn presets() -> [(&'static str, CompileOptions); 2] {
 fn dag_covered_kernels_match_the_reference_selector() {
     for target in targets() {
         let compiler = Compiler::for_target(target.clone()).unwrap();
-        for (preset, opts) in presets() {
-            assert!(opts.dag_cover, "{preset}: matrix must exercise the DAG path");
-            let dag_plan = PassPlan::from_options(&opts).strict(true);
-            let ref_plan = PassPlan::from_options(&opts)
-                .replacing("select", reference_select_pass(opts.rules, opts.variant_limit))
-                .strict(true);
+        for (preset, dag_plan, ref_plan) in presets() {
+            let (dag_plan, ref_plan) = (dag_plan.strict(true), ref_plan.strict(true));
             for kernel in record_dspstone::kernels() {
                 let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-                let dag_code = compiler.compile_plan(&lir, &dag_plan).unwrap();
-                let ref_code = compiler.compile_plan(&lir, &ref_plan).unwrap();
+                let dag_code = compiler.compile(&lir, &dag_plan).unwrap();
+                let ref_code = compiler.compile(&lir, &ref_plan).unwrap();
                 for seed in 1..=3 {
                     let inputs = kernel.inputs(seed);
                     let (got, _) = run_program(&dag_code, &target, &inputs).unwrap();
@@ -83,7 +91,7 @@ fn dag_covered_kernels_match_the_reference_implementation() {
         let compiler = Compiler::for_target(target.clone()).unwrap();
         for kernel in record_dspstone::kernels() {
             let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-            let code = compiler.compile_with(&lir, &CompileOptions::default()).unwrap();
+            let code = compiler.compile(&lir, &PassPlan::o2()).unwrap();
             for seed in 1..=3 {
                 let inputs = kernel.inputs(seed);
                 let expected = kernel.reference(&inputs);
@@ -107,15 +115,13 @@ fn dag_covered_kernels_match_the_reference_implementation() {
 fn sharing_pays_on_dsp56k_mac_kernels() {
     let target = record_isa::targets::dsp56k::target();
     let compiler = Compiler::for_target(target.clone()).unwrap();
-    let opts = CompileOptions::default();
-    let dag_plan = PassPlan::from_options(&opts);
-    let ref_plan = PassPlan::from_options(&opts)
-        .replacing("select", reference_select_pass(opts.rules, opts.variant_limit));
+    let (dag_plan, ref_plan) = (PassPlan::o2(), o2_reference());
     for name in ["complex_multiply", "complex_update", "n_complex_updates"] {
         let kernel = record_dspstone::kernel(name).expect("known kernel");
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let (dag_code, t) = compiler.compile_plan_timed(&lir, &dag_plan).unwrap();
-        let ref_code = compiler.compile_plan(&lir, &ref_plan).unwrap();
+        let (dag_code, t) =
+            compiler.compile_recorded(&lir, &dag_plan, &mut SpanRecorder::disabled()).unwrap();
+        let ref_code = compiler.compile(&lir, &ref_plan).unwrap();
         assert!(t.shared_subtrees > 0, "{name}: no sharing candidates found");
         assert!(t.shares_taken > 0, "{name}: no share taken on a register-operand machine");
         assert!(
@@ -134,14 +140,12 @@ fn sharing_pays_on_dsp56k_mac_kernels() {
 fn sharing_is_refused_on_tic25() {
     let target = record_isa::targets::tic25::target();
     let compiler = Compiler::for_target(target.clone()).unwrap();
-    let opts = CompileOptions::default();
-    let dag_plan = PassPlan::from_options(&opts);
-    let ref_plan = PassPlan::from_options(&opts)
-        .replacing("select", reference_select_pass(opts.rules, opts.variant_limit));
+    let (dag_plan, ref_plan) = (PassPlan::o2(), o2_reference());
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let (dag_code, t) = compiler.compile_plan_timed(&lir, &dag_plan).unwrap();
-        let ref_code = compiler.compile_plan(&lir, &ref_plan).unwrap();
+        let (dag_code, t) =
+            compiler.compile_recorded(&lir, &dag_plan, &mut SpanRecorder::disabled()).unwrap();
+        let ref_code = compiler.compile(&lir, &ref_plan).unwrap();
         assert_eq!(t.shares_taken, 0, "{}: parked a value in a singleton class", kernel.name);
         assert_eq!(t.recomputes_chosen, t.shared_subtrees, "{}", kernel.name);
         assert_eq!(
@@ -220,11 +224,8 @@ fn sharing_is_never_offered_across_an_intervening_store() {
 fn random_blocks_with_stores_stay_equivalent_end_to_end() {
     let dsp = record_isa::targets::dsp56k::target();
     let compiler = Compiler::for_target(dsp.clone()).unwrap();
-    let opts = CompileOptions::default();
-    let dag_plan = PassPlan::from_options(&opts).strict(true);
-    let ref_plan = PassPlan::from_options(&opts)
-        .replacing("select", reference_select_pass(opts.rules, opts.variant_limit))
-        .strict(true);
+    let dag_plan = PassPlan::o2().strict(true);
+    let ref_plan = o2_reference().strict(true);
     run_cases(40, |rng| {
         let n = rng.usize(4) + 2;
         let body: Vec<String> = (0..n)
@@ -241,21 +242,21 @@ fn random_blocks_with_stores_stay_equivalent_end_to_end() {
         // a benign rejection (the fuzz harness skips it too) — but both
         // selectors must agree on it, since DAG covering falls back to the
         // per-statement baseline whenever parking fails.
-        let dag_code = match compiler.compile_plan(&lir, &dag_plan) {
+        let dag_code = match compiler.compile(&lir, &dag_plan) {
             Ok(code) => code,
             Err(CompileError::Internal { .. } | CompileError::Verify { .. }) => {
                 panic!("DAG covering broke: {source}")
             }
             Err(_) => {
                 assert!(
-                    compiler.compile_plan(&lir, &ref_plan).is_err(),
+                    compiler.compile(&lir, &ref_plan).is_err(),
                     "only the DAG selector rejected: {source}"
                 );
                 return;
             }
         };
         let ref_code = compiler
-            .compile_plan(&lir, &ref_plan)
+            .compile(&lir, &ref_plan)
             .unwrap_or_else(|e| panic!("only the reference selector rejected ({e}): {source}"));
         let mut inputs: HashMap<Symbol, Vec<i64>> = HashMap::new();
         for s in SYMS {

@@ -8,7 +8,8 @@
 
 use std::collections::HashMap;
 
-use record::{baseline, handasm, CompileOptions, Compiler};
+use record::{baseline, handasm, modes_pass, select_pass, Compiler, PassPlan};
+use record_ir::transform::RuleSet;
 use record_ir::{dfl, lower, Symbol};
 use record_opt::modes::ModeStrategy;
 use record_sim::run_program;
@@ -44,7 +45,7 @@ fn record_compiles_all_kernels_bit_exactly() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code = compiler.compile(&lir).unwrap();
+        let code = compiler.compile(&lir, &PassPlan::o2()).unwrap();
         for seed in 1..=5 {
             validate(&code, &target, &kernel, seed, "record");
         }
@@ -78,25 +79,26 @@ fn hand_assembly_matches_references() {
 fn every_option_combination_is_semantics_preserving() {
     let target = record_isa::targets::tic25::target();
     let compiler = Compiler::for_target(target.clone()).unwrap();
-    let option_sets = vec![
-        CompileOptions::default(),
-        CompileOptions::nothing(),
-        CompileOptions { compact: false, ..CompileOptions::default() },
-        CompileOptions { use_rpt: false, ..CompileOptions::default() },
-        CompileOptions { offset_assignment: false, ..CompileOptions::default() },
-        CompileOptions { cse: false, ..CompileOptions::default() },
-        CompileOptions { fold_constants: true, ..CompileOptions::default() },
-        CompileOptions { variant_limit: 1, ..CompileOptions::default() },
-        CompileOptions { variant_limit: 128, ..CompileOptions::default() },
-        CompileOptions { mode_strategy: ModeStrategy::PerUse, ..CompileOptions::default() },
+    let o2 = PassPlan::o2;
+    let plans = vec![
+        o2(),
+        PassPlan::o0(),
+        o2().without("compact").without("hoist"),
+        o2().without("rpt"),
+        o2().without("offset"),
+        o2().without("treeify"),
+        o2().folding(),
+        o2().replacing("select", select_pass(RuleSet::all(), 1, true)),
+        o2().replacing("select", select_pass(RuleSet::all(), 128, true)),
+        o2().replacing("modes", modes_pass(ModeStrategy::PerUse)),
     ];
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        for (i, opts) in option_sets.iter().enumerate() {
+        for (i, plan) in plans.iter().enumerate() {
             let code = compiler
-                .compile_with(&lir, opts)
-                .unwrap_or_else(|e| panic!("{} opts#{i}: {e}", kernel.name));
-            validate(&code, &target, &kernel, 99, &format!("opts#{i}"));
+                .compile(&lir, plan)
+                .unwrap_or_else(|e| panic!("{} plan#{i}: {e}", kernel.name));
+            validate(&code, &target, &kernel, 99, &format!("plan#{i}"));
         }
     }
 }
@@ -107,8 +109,9 @@ fn kernels_compile_on_the_dsp56k_model() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code =
-            compiler.compile(&lir).unwrap_or_else(|e| panic!("{} on dsp56k: {e}", kernel.name));
+        let code = compiler
+            .compile(&lir, &PassPlan::o2())
+            .unwrap_or_else(|e| panic!("{} on dsp56k: {e}", kernel.name));
         for seed in 1..=3 {
             validate(&code, &target, &kernel, seed, "dsp56k");
         }
@@ -121,8 +124,9 @@ fn kernels_compile_on_the_risc_model() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code =
-            compiler.compile(&lir).unwrap_or_else(|e| panic!("{} on risc8: {e}", kernel.name));
+        let code = compiler
+            .compile(&lir, &PassPlan::o2())
+            .unwrap_or_else(|e| panic!("{} on risc8: {e}", kernel.name));
         validate(&code, &target, &kernel, 7, "risc8");
     }
 }
@@ -135,7 +139,7 @@ fn kernels_compile_on_the_dsp_asip() {
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
         let code = compiler
-            .compile(&lir)
+            .compile(&lir, &PassPlan::o2())
             .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
         validate(&code, &target, &kernel, 11, "asip");
     }
@@ -152,7 +156,7 @@ fn extension_kernels_compile_and_validate_everywhere() {
         for kernel in record_dspstone::extension_kernels() {
             let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
             let code = compiler
-                .compile(&lir)
+                .compile(&lir, &PassPlan::o2())
                 .unwrap_or_else(|e| panic!("{} on {label}: {e}", kernel.name));
             for seed in 1..=3 {
                 validate(&code, &target, &kernel, seed, label);
@@ -166,7 +170,7 @@ fn record_code_is_never_larger_than_baseline() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let rec = compiler.compile(&lir).unwrap();
+        let rec = compiler.compile(&lir, &PassPlan::o2()).unwrap();
         let base = baseline::compile(&lir).unwrap();
         assert!(
             rec.size_words() <= base.size_words(),
@@ -212,7 +216,7 @@ fn binary_encoding_length_equals_size_for_all_kernels() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code = compiler.compile(&lir).unwrap();
+        let code = compiler.compile(&lir, &PassPlan::o2()).unwrap();
         let image = record::emit::encode(&code);
         assert_eq!(image.len() as u32, code.size_words(), "{}", kernel.name);
     }
@@ -225,7 +229,7 @@ fn wraparound_inputs_still_match_references() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     let kernel = record_dspstone::kernel("dot_product").unwrap();
     let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-    let code = compiler.compile(&lir).unwrap();
+    let code = compiler.compile(&lir, &PassPlan::o2()).unwrap();
     let mut inputs: HashMap<Symbol, Vec<i64>> = HashMap::new();
     inputs
         .insert(Symbol::new("a"), (0..record_dspstone::N as i64).map(|i| 30000 + i * 17).collect());

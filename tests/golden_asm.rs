@@ -11,7 +11,7 @@
 //! cargo test --test golden_asm -- --ignored bless_golden_asm
 //! ```
 
-use record::{Compiler, PassPlan};
+use record::{Budgets, Compiler, PassPlan};
 
 const GOLDEN: &str = "tests/golden/asm.txt";
 
@@ -34,7 +34,7 @@ fn snapshot(adjust: impl Fn(PassPlan) -> PassPlan) -> String {
                 .expect("kernel lowers");
             for (preset, plan) in presets() {
                 out.push_str(&format!("== {} {name} {preset}\n", kernel.name));
-                match compiler.compile_plan(&lir, &adjust(plan)) {
+                match compiler.compile(&lir, &adjust(plan)) {
                     Ok(code) => out.push_str(&code.render()),
                     Err(e) => out.push_str(&format!("error: {}\n", record_serve::error_code(&e))),
                 }
@@ -71,6 +71,14 @@ fn assert_matches_golden(actual: &str, what: &str) {
 #[test]
 fn every_kernel_target_and_preset_matches_the_golden_listing() {
     assert_matches_golden(&snapshot(|plan| plan), "presets");
+}
+
+/// `recordd` compiles with service budgets and without strict
+/// verification; neither may change the emitted code.
+#[test]
+fn service_budget_plans_match_the_golden_listing() {
+    let served = snapshot(|plan| plan.with_budgets(Budgets::service()).strict(false));
+    assert_matches_golden(&served, "service budgets");
 }
 
 #[test]

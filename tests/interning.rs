@@ -9,7 +9,7 @@
 //! enumerate-then-cover selector alive, and every kernel is compiled
 //! through both selectors and compared on rendered assembly.
 
-use record::{reference_select_pass, CompileOptions, Compiler, PassPlan, Session};
+use record::{reference_select_pass, select_pass, Compiler, PassPlan, Session};
 use record_burg::{LabelCache, Matcher};
 use record_ir::transform::{variants, variants_interned, RuleSet};
 use record_ir::{BinOp, Tree, TreePool, UnOp};
@@ -128,21 +128,21 @@ fn interning_pays_off_on_real_kernels() {
 /// against each other byte for byte.
 #[test]
 fn interned_selection_is_byte_identical_to_the_boxed_reference() {
-    let presets: [(&str, CompileOptions); 2] = [
-        ("O0", CompileOptions::nothing()),
-        ("O2", CompileOptions { dag_cover: false, ..CompileOptions::default() }),
+    let o2_per_statement = select_pass(RuleSet::all(), 32, false);
+    let presets = [
+        ("O0", PassPlan::o0(), RuleSet::none(), 1),
+        ("O2", PassPlan::o2().replacing("select", o2_per_statement), RuleSet::all(), 32),
     ];
     for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
         let compiler = Compiler::for_target(target.clone()).unwrap();
-        for (preset, opts) in &presets {
-            let plan = PassPlan::from_options(opts);
-            let reference_plan = PassPlan::from_options(opts)
-                .replacing("select", reference_select_pass(opts.rules, opts.variant_limit));
+        for (preset, plan, rules, variant_limit) in &presets {
+            let reference_plan =
+                plan.clone().replacing("select", reference_select_pass(*rules, *variant_limit));
             for kernel in record_dspstone::kernels() {
                 let lir = record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap())
                     .unwrap();
-                let interned = compiler.compile_plan(&lir, &plan).unwrap();
-                let boxed = compiler.compile_plan(&lir, &reference_plan).unwrap();
+                let interned = compiler.compile(&lir, plan).unwrap();
+                let boxed = compiler.compile(&lir, &reference_plan).unwrap();
                 assert_eq!(
                     interned.render(),
                     boxed.render(),

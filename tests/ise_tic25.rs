@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use record::Compiler;
+use record::{Compiler, PassPlan};
 use record_ir::Symbol;
 use record_sim::run_program;
 
@@ -47,9 +47,9 @@ fn netlist_generated_compiler_matches_hand_described_target() {
         let kernel = record_dspstone::kernel(kernel_name).unwrap();
         let lir = record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap()).unwrap();
         let gen_code = generated
-            .compile(&lir)
+            .compile(&lir, &PassPlan::o2())
             .unwrap_or_else(|e| panic!("{kernel_name} on generated target: {e}"));
-        let hand_code = hand_described.compile(&lir).unwrap();
+        let hand_code = hand_described.compile(&lir, &PassPlan::o2()).unwrap();
 
         let inputs = kernel.inputs(5);
         let expected = kernel.reference(&inputs);

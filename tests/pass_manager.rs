@@ -1,11 +1,11 @@
-//! Integration tests for the pass manager: plan/option equivalence, the
-//! preset plans, per-pass editing, strict inter-pass verification (a
+//! Integration tests for the pass manager: the preset plans and their
+//! fingerprints, per-pass editing, strict inter-pass verification (a
 //! broken pass is caught at its own boundary, by name), and the per-pass
 //! observability records.
 
 use std::sync::Arc;
 
-use record::{CompilationUnit, CompileError, CompileOptions, Compiler, Pass, PassPlan};
+use record::{CompilationUnit, CompileError, Compiler, Pass, PassPlan, SpanRecorder};
 use record_isa::{Insn, InsnKind, StructureError};
 
 fn lir_of(name: &str) -> record_ir::lir::Lir {
@@ -15,27 +15,6 @@ fn lir_of(name: &str) -> record_ir::lir::Lir {
 
 fn tic25() -> Compiler {
     Compiler::for_target(record_isa::targets::tic25::target()).unwrap()
-}
-
-/// `PassPlan::from_options` is the boolean pipeline: for every kernel the
-/// plan-driven compile produces exactly the code the options-driven one
-/// does, at both ends of the optimization axis.
-#[test]
-fn plans_reproduce_the_options_pipeline_exactly() {
-    for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
-        let compiler = Compiler::for_target(target).unwrap();
-        for kernel in record_dspstone::kernels() {
-            let lir =
-                record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap()).unwrap();
-            let via_opts = compiler.compile_with(&lir, &CompileOptions::default()).unwrap();
-            let via_plan = compiler.compile_plan(&lir, &PassPlan::default()).unwrap();
-            assert_eq!(via_opts, via_plan, "{}: default plan diverges", kernel.name);
-
-            let via_opts = compiler.compile_with(&lir, &CompileOptions::nothing()).unwrap();
-            let via_plan = compiler.compile_plan(&lir, &PassPlan::o0()).unwrap();
-            assert_eq!(via_opts, via_plan, "{}: O0 plan diverges", kernel.name);
-        }
-    }
 }
 
 #[test]
@@ -80,7 +59,7 @@ fn passes_can_be_dropped_and_replaced_by_name() {
 
     // the thinned plan still compiles and still verifies
     let compiler = tic25();
-    let code = compiler.compile_plan(&lir_of("fir"), &thinned.strict(true)).unwrap();
+    let code = compiler.compile(&lir_of("fir"), &thinned.strict(true)).unwrap();
     code.verify().unwrap();
 }
 
@@ -103,7 +82,7 @@ impl Pass for StrayEndPass {
 fn strict_verify_catches_a_broken_pass_at_its_own_boundary() {
     let compiler = tic25();
     let plan = PassPlan::default().with_pass(Arc::new(StrayEndPass)).strict(true);
-    let err = compiler.compile_plan(&lir_of("fir"), &plan).unwrap_err();
+    let err = compiler.compile(&lir_of("fir"), &plan).unwrap_err();
     match &err {
         CompileError::Verify { pass, error } => {
             assert_eq!(pass, "stray-end", "blamed the wrong pass: {err}");
@@ -140,7 +119,7 @@ impl Pass for LyingPass {
 fn strict_verify_runs_pass_postconditions() {
     let compiler = tic25();
     let plan = PassPlan::default().with_pass(Arc::new(LyingPass)).strict(true);
-    match compiler.compile_plan(&lir_of("fir"), &plan) {
+    match compiler.compile(&lir_of("fir"), &plan) {
         Err(CompileError::Verify { pass, error }) => {
             assert_eq!(pass, "lying");
             assert_eq!(error, StructureError::StrayLoopEnd);
@@ -152,7 +131,7 @@ fn strict_verify_runs_pass_postconditions() {
     // checked mid-pipeline (the final whole-code verify still passes
     // because LyingPass doesn't actually damage the code)
     let lax = PassPlan::default().with_pass(Arc::new(LyingPass)).strict(false);
-    compiler.compile_plan(&lir_of("fir"), &lax).unwrap();
+    compiler.compile(&lir_of("fir"), &lax).unwrap();
 }
 
 #[test]
@@ -172,7 +151,8 @@ fn replacing_swaps_a_pass_in_place() {
 fn timed_compiles_record_one_pass_record_per_pass() {
     let compiler = tic25();
     let plan = PassPlan::default();
-    let (code, timings) = compiler.compile_plan_timed(&lir_of("fir"), &plan).unwrap();
+    let mut recorder = SpanRecorder::disabled();
+    let (code, timings) = compiler.compile_recorded(&lir_of("fir"), &plan, &mut recorder).unwrap();
 
     let recorded: Vec<&str> = timings.passes.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(recorded, plan.names(), "one record per pass, in plan order");

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use record::Compiler;
+use record::{Compiler, PassPlan};
 use record_ir::lir::{Lir, LirItem, StorageKind, VarInfo};
 use record_ir::{AssignStmt, BinOp, MemRef, Symbol, Tree, UnOp};
 use record_prop::{run_cases, Rng};
@@ -86,7 +86,7 @@ fn lir_of(stmts: &[(usize, Tree)]) -> Lir {
 fn check_on(target: record_isa::TargetDesc, stmts: &[(usize, Tree)], init: [i64; 4]) {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     let lir = lir_of(stmts);
-    let code = match compiler.compile(&lir) {
+    let code = match compiler.compile(&lir, &PassPlan::o2()) {
         Ok(c) => c,
         // a register file can genuinely be too small for a random tree;
         // that is a reported error, not a soundness issue

@@ -1,16 +1,14 @@
 //! Property-based validation of the pass manager: *any* sampled
-//! [`PassPlan`] — random option combinations plus random removals of the
+//! [`PassPlan`] — randomly configured passes plus random removals of the
 //! optional passes — must compile every DSPStone kernel to structurally
 //! valid code that computes exactly what the unoptimized (`O0`) plan
 //! computes.
 //!
-//! This generalizes the old "options produce equivalent results" check:
-//! the plan space is larger than the option space (per-pass removal can
-//! express states the booleans cannot), and every case runs with strict
-//! inter-pass verification on, so each pass's postconditions are
-//! exercised under every sampled configuration.
+//! Every case runs with strict inter-pass verification on, so each
+//! pass's postconditions are exercised under every sampled
+//! configuration.
 
-use record::{CompileOptions, Compiler, PassPlan};
+use record::{compact_pass, modes_pass, select_pass, Compiler, PassPlan};
 use record_ir::transform::RuleSet;
 use record_ir::Symbol;
 use record_opt::modes::ModeStrategy;
@@ -18,32 +16,42 @@ use record_opt::ScheduleMode;
 use record_prop::{run_cases, Rng};
 use record_sim::run_program;
 
-fn random_options(rng: &mut Rng) -> CompileOptions {
-    CompileOptions {
-        rules: if rng.bool() { RuleSet::all() } else { RuleSet::none() },
-        variant_limit: rng.usize(8) + 1,
-        fold_constants: rng.bool(),
-        cse: rng.bool(),
-        compact: rng.bool(),
-        offset_assignment: rng.bool(),
-        bank_assignment: rng.bool(),
-        mode_strategy: *rng.pick(&[ModeStrategy::Lazy, ModeStrategy::PerUse]),
-        use_rpt: rng.bool(),
-        schedule: *rng.pick(&[
-            None,
-            Some(ScheduleMode::List),
-            Some(ScheduleMode::BranchAndBound { max_segment: 8 }),
-        ]),
-        dag_cover: rng.bool(),
-        budgets: record::Budgets::unlimited(),
-    }
-}
-
-/// Random plan edits on top of the sampled options: drop optional passes
-/// by name. `compact`/`hoist` are dropped together (hoisting is defined
-/// as compaction's companion, as in the original pipeline).
+/// A random plan: `O2` with every configurable pass resampled (selection
+/// rules, variant limit and DAG covering; compaction schedule; mode
+/// strategy), constant folding switched on at random, and the optional
+/// passes dropped by name. `compact`/`hoist` are dropped together
+/// (hoisting is compaction's companion, as in the original pipeline).
 fn random_plan(rng: &mut Rng) -> PassPlan {
-    let mut plan = PassPlan::from_options(&random_options(rng));
+    let rules = if rng.bool() { RuleSet::all() } else { RuleSet::none() };
+    let variant_limit = rng.usize(8) + 1;
+    let fold = rng.bool();
+    let cse = rng.bool();
+    let compact = rng.bool();
+    let offset = rng.bool();
+    let banks = rng.bool();
+    let strategy = *rng.pick(&[ModeStrategy::Lazy, ModeStrategy::PerUse]);
+    let rpt = rng.bool();
+    let schedule = *rng.pick(&[
+        None,
+        Some(ScheduleMode::List),
+        Some(ScheduleMode::BranchAndBound { max_segment: 8 }),
+    ]);
+    let dag_cover = rng.bool();
+    let mut plan = PassPlan::o2()
+        .replacing("select", select_pass(rules, variant_limit, dag_cover))
+        .replacing("compact", compact_pass(schedule))
+        .replacing("modes", modes_pass(strategy));
+    if fold {
+        plan = plan.folding();
+    }
+    for (name, keep) in [("treeify", cse), ("offset", offset), ("banks", banks), ("rpt", rpt)] {
+        if !keep {
+            plan = plan.without(name);
+        }
+    }
+    if !compact {
+        plan = plan.without("compact").without("hoist");
+    }
     for name in ["fold", "treeify", "offset", "banks", "rpt"] {
         if rng.usize(4) == 0 {
             plan = plan.without(name);
@@ -74,7 +82,7 @@ fn every_sampled_plan_is_valid_and_semantics_preserving() {
         let (kernel, lir) = (&kernels[ix], &lirs[ix]);
 
         let code = compiler
-            .compile_plan(lir, &plan)
+            .compile(lir, &plan)
             .unwrap_or_else(|e| panic!("{}: plan {:?} failed: {e}", kernel.name, plan.names()));
         // strict mode already verified between passes; the final artifact
         // must also stand on its own
@@ -82,7 +90,7 @@ fn every_sampled_plan_is_valid_and_semantics_preserving() {
             panic!("{}: plan {:?} produced invalid code: {e}", kernel.name, plan.names())
         });
 
-        let baseline = compiler.compile_plan(lir, &o0).unwrap();
+        let baseline = compiler.compile(lir, &o0).unwrap();
         let inputs = kernel.inputs(rng.usize(1 << 16) as u64);
         let (got, _) = run_program(&code, compiler.target(), &inputs).unwrap();
         let (want, _) = run_program(&baseline, compiler.target(), &inputs).unwrap();

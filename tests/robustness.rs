@@ -20,8 +20,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use record::{
-    Budgets, CompilationUnit, CompileError, Compiler, Pass, PassPlan, PhaseTimings, Session,
-    SessionStats,
+    Budgets, CompilationUnit, CompileError, CompileInput, Compiler, Pass, PassPlan, PhaseTimings,
+    Session, SessionStats, SpanRecorder,
 };
 use record_ir::lir::StorageKind;
 use record_ir::{dfl, lower};
@@ -63,6 +63,10 @@ begin
 end
 ";
 
+fn sources_of<'a>(sources: &[&'a str]) -> Vec<CompileInput<'a>> {
+    sources.iter().copied().map(CompileInput::Source).collect()
+}
+
 fn tic25() -> record_isa::TargetDesc {
     record_isa::targets::tic25::target()
 }
@@ -99,7 +103,8 @@ fn best_effort_panic_salvages_and_output_still_simulates() {
         let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
         let plan = PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass));
 
-        let (code, timings) = compiler.compile_plan_timed(&lir, &plan).unwrap();
+        let (code, timings) =
+            compiler.compile_recorded(&lir, &plan, &mut SpanRecorder::disabled()).unwrap();
         assert_eq!(
             timings.salvages.iter().map(|s| s.pass.as_str()).collect::<Vec<_>>(),
             ["flaky"],
@@ -112,7 +117,7 @@ fn best_effort_panic_salvages_and_output_still_simulates() {
         );
 
         // the salvaged code equals what the plan-minus-poison produces
-        let clean = compiler.compile_plan(&lir, &PassPlan::o2().strict(true)).unwrap();
+        let clean = compiler.compile(&lir, &PassPlan::o2().strict(true)).unwrap();
         assert_eq!(code.render(), clean.render());
 
         // and it computes the right convolution on the simulator
@@ -134,7 +139,7 @@ fn salvage_events_reach_session_stats_and_the_report() {
         let target = tic25();
         let session =
             Session::new().with_plan(PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass)));
-        let batch = session.compile_batch_sources(&target, &[KERNEL, KERNEL]).unwrap();
+        let batch = session.compile_batch(&target, &sources_of(&[KERNEL, KERNEL]), None).unwrap();
         assert!(batch.iter().all(Result::is_ok), "poisoned batch still completes");
 
         let stats = session.stats();
@@ -161,7 +166,7 @@ fn mandatory_pass_panic_is_an_internal_error_naming_the_pass() {
         let compiler = Compiler::for_target(tic25()).unwrap();
         let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
         let plan = PassPlan::o2().with_pass(Arc::new(BoomPass));
-        match compiler.compile_plan(&lir, &plan) {
+        match compiler.compile(&lir, &plan) {
             Err(CompileError::Internal { pass, message }) => {
                 assert_eq!(pass, "boom");
                 assert!(message.contains("mandatory pass exploded"), "{message}");
@@ -177,7 +182,7 @@ fn disabling_salvage_exposes_the_raw_failure() {
         let compiler = Compiler::for_target(tic25()).unwrap();
         let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
         let plan = PassPlan::o2().with_pass(Arc::new(FlakyPass)).salvaging(false);
-        match compiler.compile_plan(&lir, &plan) {
+        match compiler.compile(&lir, &plan) {
             Err(CompileError::Internal { pass, .. }) => assert_eq!(pass, "flaky"),
             other => panic!("expected Internal, got {other:?}"),
         }
@@ -191,7 +196,7 @@ fn a_panicking_batch_job_poisons_only_its_own_slot() {
         let session =
             Session::new().with_plan(PassPlan::o2().with_pass(Arc::new(BoomPass)).salvaging(false));
         let sources = [KERNEL, KERNEL, KERNEL];
-        let batch = session.compile_batch_sources(&target, &sources).unwrap();
+        let batch = session.compile_batch(&target, &sources_of(&sources), None).unwrap();
         assert_eq!(batch.len(), 3, "batch ran to completion");
         for outcome in &batch {
             match outcome {
@@ -208,7 +213,7 @@ fn lir_size_budget_rejects_oversized_programs_up_front() {
     let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
     let budgets = Budgets { max_lir_nodes: Some(1), ..Budgets::unlimited() };
     let plan = PassPlan::o2().with_budgets(budgets);
-    match compiler.compile_plan(&lir, &plan) {
+    match compiler.compile(&lir, &plan) {
         Err(CompileError::Budget { pass, resource }) => {
             assert_eq!(pass, "pipeline");
             assert_eq!(resource, "lir-nodes");
@@ -225,13 +230,64 @@ fn variant_budget_fails_selection_as_a_budget_error() {
     let plan = PassPlan::o2().with_budgets(budgets);
     // selection is mandatory: the budget error surfaces even with
     // salvaging on
-    match compiler.compile_plan(&lir, &plan) {
+    match compiler.compile(&lir, &plan) {
         Err(CompileError::Budget { pass, resource }) => {
             assert_eq!(pass, "select");
             assert_eq!(resource, "variants");
         }
         other => panic!("expected Budget, got {other:?}"),
     }
+}
+
+/// A variants cap crossed by the second statement of a straight-line
+/// block that selection covers as one DAG: the block path checks the cap
+/// per statement, so the compile still fails with the variants budget and
+/// the crossing statement enumerates at most one variant past the cap.
+#[test]
+fn variant_budget_crossed_mid_block_stops_at_the_crossing_statement() {
+    let compiler = Compiler::for_target(record_isa::targets::dsp56k::target()).unwrap();
+    let lower_src = |src: &str| lower::lower(&dfl::parse(src).unwrap()).unwrap();
+    let first = lower_src(
+        "program one; in a, b, c, d: fix; out x: fix;
+         begin x := a * b + c * d; end",
+    );
+    let block = lower_src(
+        "program blk; in a, b, c, d: fix; out x, y, z: fix;
+         begin
+           x := a * b + c * d;
+           y := a * c - b * d;
+           z := a * d + b * c;
+         end",
+    );
+    let plan = PassPlan::o2();
+    let mut recorder = SpanRecorder::disabled();
+    let (_, alone) = compiler.compile_recorded(&first, &plan, &mut recorder).unwrap();
+    let cap = alone.variants;
+    let budgets = Budgets { max_variants: Some(cap), ..Budgets::unlimited() };
+
+    match compiler.compile(&block, &plan.clone().with_budgets(budgets)) {
+        Err(CompileError::Budget { pass, resource }) => {
+            assert_eq!((pass.as_str(), resource.as_str()), ("select", "variants"));
+        }
+        other => panic!("expected a variants budget error, got {other:?}"),
+    }
+
+    let mut unit = CompilationUnit::new(compiler.target(), compiler.tables(), &block);
+    unit.budgets = budgets;
+    let mut outcome = Ok(());
+    for pass in plan.passes() {
+        outcome = pass.run(&mut unit);
+        if outcome.is_err() {
+            assert_eq!(pass.name(), "select");
+            break;
+        }
+    }
+    assert!(
+        matches!(&outcome, Err(CompileError::Budget { resource, .. }) if resource == "variants"),
+        "{outcome:?}"
+    );
+    assert!(unit.variants > cap, "the cap was crossed: {} variants, cap {cap}", unit.variants);
+    assert!(unit.variants <= cap + 1, "{} variants past a cap of {cap}", unit.variants);
 }
 
 #[test]
@@ -241,7 +297,8 @@ fn search_budget_degrades_the_optimizing_passes_not_the_compile() {
     let budgets =
         Budgets { max_search_steps: Some(1), max_schedule_steps: Some(1), ..Budgets::unlimited() };
     let plan = PassPlan::o2().with_budgets(budgets);
-    let (_, timings) = compiler.compile_plan_timed(&lir, &plan).unwrap();
+    let (_, timings) =
+        compiler.compile_recorded(&lir, &plan, &mut SpanRecorder::disabled()).unwrap();
     assert!(!timings.salvages.is_empty(), "a 1-step search budget must force at least one salvage");
     for s in &timings.salvages {
         assert!(
@@ -258,7 +315,7 @@ fn simulator_step_budget_is_a_structured_error() {
     let target = tic25();
     let compiler = Compiler::for_target(target.clone()).unwrap();
     let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
-    let code = compiler.compile(&lir).unwrap();
+    let code = compiler.compile(&lir, &PassPlan::o2()).unwrap();
     let inputs: HashMap<_, _> = lir
         .vars
         .iter()
@@ -331,7 +388,7 @@ fn expired_batch_deadline_fills_every_slot_structurally() {
     let target = record_isa::targets::tic25::target();
     let sources = [KERNEL, SCALAR_KERNEL, KERNEL, SCALAR_KERNEL];
     let results = session
-        .compile_batch_sources_deadline(&target, &sources, std::time::Instant::now())
+        .compile_batch(&target, &sources_of(&sources), Some(std::time::Instant::now()))
         .expect("an expired deadline is a per-slot failure, not a batch error");
     assert_eq!(results.len(), sources.len());
     for (i, slot) in results.iter().enumerate() {
@@ -353,8 +410,8 @@ fn generous_batch_deadline_compiles_every_slot() {
     let target = record_isa::targets::tic25::target();
     let sources = [KERNEL, SCALAR_KERNEL];
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(600);
-    let results = session.compile_batch_sources_deadline(&target, &sources, deadline).unwrap();
-    let baseline = session.compile_batch_sources(&target, &sources).unwrap();
+    let results = session.compile_batch(&target, &sources_of(&sources), Some(deadline)).unwrap();
+    let baseline = session.compile_batch(&target, &sources_of(&sources), None).unwrap();
     for (i, (got, want)) in results.iter().zip(&baseline).enumerate() {
         let got = got.as_ref().expect("deadline slot compiles");
         let want = want.as_ref().expect("baseline slot compiles");
@@ -369,7 +426,8 @@ fn generous_batch_deadline_compiles_every_slot() {
 fn expired_single_deadline_fails_at_admission() {
     let session = Session::new();
     let target = record_isa::targets::tic25::target();
-    match session.compile_source_deadline(&target, KERNEL, std::time::Instant::now()) {
+    let expired = Some(std::time::Instant::now());
+    match session.compile(&target, CompileInput::Source(KERNEL), expired, None) {
         Err(CompileError::Budget { pass, resource }) => {
             assert_eq!(pass, "admission");
             assert_eq!(resource, "deadline");
@@ -377,7 +435,8 @@ fn expired_single_deadline_fails_at_admission() {
         other => panic!("expected an admission deadline error, got {other:?}"),
     }
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(600);
-    let (code, timings) = session.compile_source_deadline(&target, KERNEL, deadline).unwrap();
+    let (code, timings) =
+        session.compile(&target, CompileInput::Source(KERNEL), Some(deadline), None).unwrap();
     assert!(!code.is_empty());
     assert!(!timings.from_cache);
 }

@@ -136,6 +136,28 @@ fn valid_compile_round_trips() {
     );
 }
 
+/// Program names come from the client, so they must not become metric
+/// labels: distinct long names would add registry series without bound,
+/// each rendered on every `/metrics` request.
+#[test]
+fn client_program_names_never_reach_the_metrics() {
+    let svc = service();
+    let names: Vec<String> = (0..8).map(|i| format!("hostile{i}{}", "x".repeat(300))).collect();
+    for name in &names {
+        let program = FIR.replacen("program fir;", &format!("program {name};"), 1);
+        let mut line = String::from("{\"target\":\"tic25\",\"plan\":\"o2\",\"program\":");
+        json::push_str_lit(&mut line, &program);
+        line.push('}');
+        let response = svc.handle_line(&line);
+        assert_eq!(code_of(&response), "ok", "{response}");
+    }
+    let metrics = svc.render_metrics();
+    assert!(metrics.contains("record_compiles_total"), "{metrics}");
+    for name in &names {
+        assert!(!metrics.contains(name.as_str()), "metrics carry the program name {name}");
+    }
+}
+
 /// Every wire response — success, error, and ping alike — carries a
 /// server-minted request id in the pinned `r-` + 8 lowercase hex digit
 /// format, unique per response. Log-correlation tooling greps for this

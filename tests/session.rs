@@ -6,7 +6,7 @@
 //! built-in target. The parallel batch driver must likewise match a
 //! sequential loop, in input order.
 
-use record::{Compiler, Session};
+use record::{CompileInput, Compiler, PassPlan, Session};
 use record_ir::lir::Lir;
 use record_ir::{dfl, lower};
 use record_isa::TargetDesc;
@@ -61,12 +61,13 @@ fn compile_batch_equals_sequential_compilation() {
             .into_iter()
             .map(|k| lower::lower(&dfl::parse(k.source).unwrap()).unwrap())
             .collect();
-        let batch = session.compile_batch(&target, &lirs).unwrap();
+        let inputs: Vec<CompileInput> = lirs.iter().map(CompileInput::Lir).collect();
+        let batch = session.compile_batch(&target, &inputs, None).unwrap();
         assert_eq!(batch.len(), lirs.len());
 
         let fresh = Compiler::for_target(target.clone()).unwrap();
         for (i, (lir, outcome)) in lirs.iter().zip(&batch).enumerate() {
-            let sequential = fresh.compile(lir);
+            let sequential = fresh.compile(lir, &PassPlan::o2());
             assert_eq!(
                 outcome_text(outcome),
                 outcome_text(&sequential),
@@ -91,8 +92,9 @@ fn batch_determinism_across_repeated_runs() {
         .into_iter()
         .map(|k| lower::lower(&dfl::parse(k.source).unwrap()).unwrap())
         .collect();
-    let a = session.compile_batch(&target, &lirs).unwrap();
-    let b = session.compile_batch(&target, &lirs).unwrap();
+    let inputs: Vec<CompileInput> = lirs.iter().map(CompileInput::Lir).collect();
+    let a = session.compile_batch(&target, &inputs, None).unwrap();
+    let b = session.compile_batch(&target, &inputs, None).unwrap();
     let render = |v: &[Result<record_isa::Code, record::CompileError>]| {
         v.iter().map(outcome_text).collect::<Vec<_>>().join("\n---\n")
     };

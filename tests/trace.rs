@@ -116,7 +116,9 @@ fn salvage_shows_up_as_an_event() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     let lir = record_ir::lower::lower(&record_ir::dfl::parse(FIR_LIKE).unwrap()).unwrap();
     let plan = PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass));
-    let result = compiler.compile_plan_traced(&lir, &plan, Some(&tracer));
+    let mut recorder = tracer.recorder();
+    let result = compiler.compile_recorded(&lir, &plan, &mut recorder);
+    tracer.submit(recorder);
     std::panic::set_hook(saved);
     result.unwrap();
 
@@ -144,7 +146,9 @@ fn exports_escape_hostile_kernel_names() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     let mut lir = record_ir::lower::lower(&record_ir::dfl::parse(FIR_LIKE).unwrap()).unwrap();
     lir.name = record_ir::Symbol::new("evil \"kernel\"\nname");
-    compiler.compile_plan_traced(&lir, &PassPlan::default(), Some(&tracer)).unwrap();
+    let mut recorder = tracer.recorder();
+    compiler.compile_recorded(&lir, &PassPlan::default(), &mut recorder).unwrap();
+    tracer.submit(recorder);
 
     let mut jsonl = Vec::new();
     tracer.write_jsonl(&mut jsonl).unwrap();
