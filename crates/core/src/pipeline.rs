@@ -10,7 +10,6 @@ use record_ir::{dfl, lower, Symbol};
 use record_isa::netlist::Netlist;
 use record_isa::{Code, Insn, InsnKind, Loc, TargetDesc};
 use record_ise::ToTargetOptions;
-
 use record_trace::SpanRecorder;
 
 use crate::timing::{PhaseTimings, SalvageRecord};
