@@ -88,4 +88,7 @@ pub use record_trace::{
     span, AttrValue, Event, Metric, MetricsRegistry, Span, SpanRecorder, TraceRecord, Tracer,
 };
 pub use session::{CompileInput, Session, SessionStats};
-pub use timing::{CodeStats, PassRecord, PhaseTimings, SalvageRecord};
+pub use timing::{
+    CodeStats, Counter, Direction, PassRecord, PhaseTimings, SalvageRecord, SelectCounters,
+    COUNTERS,
+};

@@ -33,91 +33,63 @@ use record_trace::SpanRecorder;
 
 use crate::pipeline::{convert_rpt, order_vars, order_vars_budgeted, Budgets};
 use crate::select::{Emitter, SelectBudget, SelectStats};
-use crate::timing::{CodeStats, PassRecord, PhaseTimings};
+use crate::timing::{
+    counter_struct, select_counters, zero_counters, CodeStats, PassRecord, PhaseTimings,
+    SelectCounters,
+};
 use crate::CompileError;
 
-/// The state a compilation threads through the passes: the (rewritable)
-/// LIR, the storage variables it accumulates, and the output [`Code`].
-///
-/// LIR-level passes (`fold`, `treeify`) rewrite [`lir`](Self::lir);
-/// `select` consumes it into [`code`](Self::code); every later pass
-/// rewrites `code` in place.
-pub struct CompilationUnit<'a> {
-    /// The target being compiled for.
-    pub target: &'a TargetDesc,
-    /// Shared BURS matcher tables for the target.
-    pub tables: &'a Arc<Tables>,
-    /// The program, in lowered form; LIR passes rewrite it.
-    pub lir: Lir,
-    /// Storage to lay out: program variables plus generated temporaries
-    /// and spill scratch, in creation order.
-    pub vars: Vec<VarInfo>,
-    /// The output machine code (empty until `select` runs).
-    pub code: Code,
-    /// Statements selected (after tree decomposition).
-    pub statements: usize,
-    /// Tree variants enumerated across all statements.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes interned by selection's hash-consing pool.
-    pub interned_nodes: u64,
-    /// Tree-node constructions answered by the pool (allocation avoided).
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch during selection.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache.
-    pub labels_memoized: u64,
-    /// Generated variants skipped by the cost-floor short-circuit.
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by variant enumeration.
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees found by block DAG analysis.
-    pub shared_subtrees: u64,
-    /// DAG sharing candidates computed once into a parked register.
-    pub shares_taken: u64,
-    /// DAG sharing candidates recomputed at every use instead.
-    pub recomputes_chosen: u64,
-    /// Resource caps the passes must respect (copied from the plan by
-    /// the runner before the first pass executes).
-    pub budgets: Budgets,
-    /// The compile's span recorder. The runner opens one span per pass
-    /// on it; passes may attach extra attributes or events (e.g. the
-    /// search passes record `search_steps`). Disabled (a no-op) unless
-    /// the driver installed an enabled recorder — see
-    /// [`Compiler::compile_recorded`](crate::Compiler::compile_recorded).
-    pub trace: SpanRecorder,
-}
+select_counters!(counter_struct! {
+    /// The state a compilation threads through the passes: the (rewritable)
+    /// LIR, the storage variables it accumulates, the output [`Code`] and
+    /// the selection work counters.
+    ///
+    /// LIR-level passes (`fold`, `treeify`) rewrite [`lir`](Self::lir);
+    /// `select` consumes it into [`code`](Self::code); every later pass
+    /// rewrites `code` in place.
+    pub struct CompilationUnit<'a> {
+        /// The target being compiled for.
+        pub target: &'a TargetDesc,
+        /// Shared BURS matcher tables for the target.
+        pub tables: &'a Arc<Tables>,
+        /// The program, in lowered form; LIR passes rewrite it.
+        pub lir: Lir,
+        /// Storage to lay out: program variables plus generated temporaries
+        /// and spill scratch, in creation order.
+        pub vars: Vec<VarInfo>,
+        /// The output machine code (empty until `select` runs).
+        pub code: Code,
+        /// Resource caps the passes must respect (copied from the plan by
+        /// the runner before the first pass executes).
+        pub budgets: Budgets,
+        /// The compile's span recorder. The runner opens one span per pass
+        /// on it; passes may attach extra attributes or events (e.g. the
+        /// search passes record `search_steps`). Disabled (a no-op) unless
+        /// the driver installed an enabled recorder — see
+        /// [`Compiler::compile_recorded`](crate::Compiler::compile_recorded).
+        pub trace: SpanRecorder,
+    }
+});
 
 impl<'a> CompilationUnit<'a> {
     /// Fresh unit for compiling `lir` on `target`.
     pub fn new(target: &'a TargetDesc, tables: &'a Arc<Tables>, lir: &Lir) -> Self {
-        CompilationUnit {
-            target,
-            tables,
-            vars: lir.vars.clone(),
-            code: Code {
-                insns: Vec::new(),
-                layout: Default::default(),
-                target: target.name.clone(),
-                name: lir.name.to_string(),
-            },
-            lir: lir.clone(),
-            statements: 0,
-            variants: 0,
-            covered: 0,
-            interned_nodes: 0,
-            dedup_hits: 0,
-            labels_computed: 0,
-            labels_memoized: 0,
-            variants_pruned: 0,
-            search_steps: 0,
-            shared_subtrees: 0,
-            shares_taken: 0,
-            recomputes_chosen: 0,
-            budgets: Budgets::unlimited(),
-            trace: SpanRecorder::disabled(),
-        }
+        select_counters!(zero_counters! {
+            CompilationUnit {
+                target,
+                tables,
+                vars: lir.vars.clone(),
+                code: Code {
+                    insns: Vec::new(),
+                    layout: Default::default(),
+                    target: target.name.clone(),
+                    name: lir.name.to_string(),
+                },
+                lir: lir.clone(),
+                budgets: Budgets::unlimited(),
+                trace: SpanRecorder::disabled(),
+            }
+        })
     }
 }
 
@@ -529,18 +501,9 @@ impl PassPlan {
                 PassFailure::anonymous(CompileError::Verify { pass: "pipeline".into(), error: e })
             })?;
         }
-        timings.statements = unit.statements;
-        timings.variants = unit.variants;
-        timings.covered = unit.covered;
-        timings.interned_nodes = unit.interned_nodes;
-        timings.dedup_hits = unit.dedup_hits;
-        timings.labels_computed = unit.labels_computed;
-        timings.labels_memoized = unit.labels_memoized;
-        timings.variants_pruned = unit.variants_pruned;
-        timings.search_steps = unit.search_steps;
-        timings.shared_subtrees = unit.shared_subtrees;
-        timings.shares_taken = unit.shares_taken;
-        timings.recomputes_chosen = unit.recomputes_chosen;
+        for (slot, (_, value)) in timings.counters_mut().into_iter().zip(unit.counters()) {
+            *slot = value;
+        }
         timings.insns = unit.code.insns.len();
         Ok(())
     }
@@ -773,38 +736,13 @@ impl Pass for SelectPass {
         let body = std::mem::take(&mut unit.lir.body);
         let mut insns: Vec<Insn> = Vec::new();
         let mut stats = SelectStats::default();
-        let result = self.emit_rec(
-            &body,
-            target,
-            &mut emitter,
-            &mut insns,
-            &mut unit.statements,
-            &mut stats,
-            &budget,
-        );
+        let result = self.emit_rec(&body, target, &mut emitter, &mut insns, &mut stats, &budget);
         unit.lir.body = body;
-        unit.variants += stats.variants;
-        unit.covered += stats.covered;
-        unit.interned_nodes += stats.interned_nodes;
-        unit.dedup_hits += stats.dedup_hits;
-        unit.labels_computed += stats.labels_computed;
-        unit.labels_memoized += stats.labels_memoized;
-        unit.variants_pruned += stats.variants_pruned;
-        unit.search_steps += stats.search_steps;
-        unit.shared_subtrees += stats.shared_subtrees;
-        unit.shares_taken += stats.shares_taken;
-        unit.recomputes_chosen += stats.recomputes_chosen;
-        unit.trace.attr("search_steps", search.steps());
+        unit.add_counters(&stats);
         if unit.trace.is_enabled() {
-            unit.trace.attr("interned_nodes", stats.interned_nodes);
-            unit.trace.attr("dedup_hits", stats.dedup_hits);
-            unit.trace.attr("labels_computed", stats.labels_computed);
-            unit.trace.attr("labels_memoized", stats.labels_memoized);
-            unit.trace.attr("variants_pruned", stats.variants_pruned);
-            unit.trace.attr("enum_steps", stats.search_steps);
-            unit.trace.attr("shared_subtrees", stats.shared_subtrees);
-            unit.trace.attr("shares_taken", stats.shares_taken);
-            unit.trace.attr("recomputes_chosen", stats.recomputes_chosen);
+            for (name, value) in stats.counters() {
+                unit.trace.attr(name, value);
+            }
         }
         result?;
         for s in emitter.scratch_symbols() {
@@ -822,14 +760,12 @@ impl Pass for SelectPass {
 }
 
 impl SelectPass {
-    #[allow(clippy::too_many_arguments)]
     fn emit_rec(
         &self,
         items: &[LirItem],
         target: &TargetDesc,
         emitter: &mut Emitter<'_>,
         out: &mut Vec<Insn>,
-        statements: &mut usize,
         stats: &mut SelectStats,
         budget: &SelectBudget<'_>,
     ) -> Result<(), CompileError> {
@@ -841,7 +777,7 @@ impl SelectPass {
             match item {
                 LirItem::Assign(stmt) => block.push(stmt.clone()),
                 LirItem::Loop { var, count, body } => {
-                    self.flush_block(&mut block, emitter, out, statements, stats, budget)?;
+                    self.flush_block(&mut block, emitter, out, stats, budget)?;
                     let init = target.loop_ctrl.init_cost;
                     out.push(Insn::ctrl(
                         InsnKind::LoopStart { var: var.clone(), count: *count },
@@ -849,13 +785,13 @@ impl SelectPass {
                         init.words,
                         init.cycles,
                     ));
-                    self.emit_rec(body, target, emitter, out, statements, stats, budget)?;
+                    self.emit_rec(body, target, emitter, out, stats, budget)?;
                     let end = target.loop_ctrl.end_cost;
                     out.push(Insn::ctrl(InsnKind::LoopEnd, "ENDLP", end.words, end.cycles));
                 }
             }
         }
-        self.flush_block(&mut block, emitter, out, statements, stats, budget)
+        self.flush_block(&mut block, emitter, out, stats, budget)
     }
 
     /// Emits a gathered straight-line block: as one DAG cover when the
@@ -866,7 +802,6 @@ impl SelectPass {
         block: &mut Vec<AssignStmt>,
         emitter: &mut Emitter<'_>,
         out: &mut Vec<Insn>,
-        statements: &mut usize,
         stats: &mut SelectStats,
         budget: &SelectBudget<'_>,
     ) -> Result<(), CompileError> {
@@ -882,7 +817,7 @@ impl SelectPass {
                 out.extend(insns);
             }
         }
-        *statements += stmts.len();
+        stats.statements += stmts.len() as u64;
         Ok(())
     }
 }

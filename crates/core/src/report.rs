@@ -12,6 +12,8 @@ use std::fmt;
 use record_ir::{dfl, lower};
 use record_sim::run_program;
 
+use crate::select::SelectStats;
+use crate::timing::SelectCounters;
 use crate::{baseline, handasm, CompileError, CompileInput, PhaseTimings, Session, SessionStats};
 
 /// One Table 1 row.
@@ -400,30 +402,8 @@ pub struct KernelBench {
     pub target: String,
     /// End-to-end compile wall time in microseconds (informational only).
     pub wall_us: f64,
-    /// Statements selected.
-    pub statements: usize,
-    /// Tree variants enumerated across all statements.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes interned by the hash-consing pool.
-    pub interned_nodes: u64,
-    /// Node constructions answered by the pool without allocating.
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache.
-    pub labels_memoized: u64,
-    /// Generated variants skipped by the cost-floor short-circuit.
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by variant enumeration.
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees found by block DAG analysis.
-    pub shared_subtrees: u64,
-    /// DAG sharing candidates computed once into a parked register.
-    pub shares_taken: u64,
-    /// DAG sharing candidates recomputed at every use instead.
-    pub recomputes_chosen: u64,
+    /// The selection work counters of the compile.
+    pub select: SelectStats,
     /// Instructions in the compiled code (bundles count once).
     pub insns: usize,
     /// Code size in words.
@@ -446,22 +426,13 @@ pub fn kernel_bench_report(session: &Session) -> Result<Vec<KernelBench>, Compil
     for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
         for kernel in record_dspstone::kernels() {
             let (code, t) = session.compile_source_timed(&target, kernel.source)?;
+            let mut select = SelectStats::default();
+            select.add_counters(&t);
             out.push(KernelBench {
                 kernel: kernel.name,
                 target: target.name.clone(),
                 wall_us: t.total.as_secs_f64() * 1e6,
-                statements: t.statements,
-                variants: t.variants,
-                covered: t.covered,
-                interned_nodes: t.interned_nodes,
-                dedup_hits: t.dedup_hits,
-                labels_computed: t.labels_computed,
-                labels_memoized: t.labels_memoized,
-                variants_pruned: t.variants_pruned,
-                search_steps: t.search_steps,
-                shared_subtrees: t.shared_subtrees,
-                shares_taken: t.shares_taken,
-                recomputes_chosen: t.recomputes_chosen,
+                select,
                 insns: code.insns.len(),
                 words: code.size_words(),
             });
@@ -485,26 +456,9 @@ pub fn render_kernel_bench_json(rows: &[KernelBench]) -> String {
         json::push_str_lit(&mut out, &r.target);
         out.push_str(",\"wall_us\":");
         json::push_f64(&mut out, r.wall_us);
-        out.push_str(&format!(
-            ",\"statements\":{},\"variants\":{},\"covered\":{}",
-            r.statements, r.variants, r.covered
-        ));
-        out.push_str(&format!(
-            ",\"interned_nodes\":{},\"dedup_hits\":{}",
-            r.interned_nodes, r.dedup_hits
-        ));
-        out.push_str(&format!(
-            ",\"labels_computed\":{},\"labels_memoized\":{}",
-            r.labels_computed, r.labels_memoized
-        ));
-        out.push_str(&format!(
-            ",\"variants_pruned\":{},\"search_steps\":{}",
-            r.variants_pruned, r.search_steps
-        ));
-        out.push_str(&format!(
-            ",\"shared_subtrees\":{},\"shares_taken\":{},\"recomputes_chosen\":{}",
-            r.shared_subtrees, r.shares_taken, r.recomputes_chosen
-        ));
+        for (name, value) in r.select.counters() {
+            out.push_str(&format!(",\"{name}\":{value}"));
+        }
         out.push_str(&format!(",\"insns\":{},\"words\":{}", r.insns, r.words));
         out.push('}');
     }
@@ -615,15 +569,16 @@ mod tests {
         let mut kernels_with_dedup = std::collections::HashSet::new();
         let mut kernels_with_memo = std::collections::HashSet::new();
         for r in &rows {
-            assert!(r.statements > 0, "{}/{} selected nothing", r.kernel, r.target);
-            assert!(r.variants >= r.statements, "{}/{}", r.kernel, r.target);
-            assert!(r.interned_nodes > 0, "{}/{} interned nothing", r.kernel, r.target);
-            assert!(r.labels_computed > 0, "{}/{} labelled nothing", r.kernel, r.target);
+            let s = &r.select;
+            assert!(s.statements > 0, "{}/{} selected nothing", r.kernel, r.target);
+            assert!(s.variants >= s.statements, "{}/{}", r.kernel, r.target);
+            assert!(s.interned_nodes > 0, "{}/{} interned nothing", r.kernel, r.target);
+            assert!(s.labels_computed > 0, "{}/{} labelled nothing", r.kernel, r.target);
             assert!(r.insns > 0 && r.words > 0, "{}/{}", r.kernel, r.target);
-            if r.dedup_hits > 0 {
+            if s.dedup_hits > 0 {
                 kernels_with_dedup.insert(r.kernel);
             }
-            if r.labels_memoized > 0 {
+            if s.labels_memoized > 0 {
                 kernels_with_memo.insert(r.kernel);
             }
         }

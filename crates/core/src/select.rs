@@ -26,60 +26,17 @@ use record_isa::{
     TargetDesc,
 };
 
+use crate::timing::{counter_struct, select_counters, SelectCounters};
 use crate::CompileError;
 
-/// Per-statement selection statistics.
-///
-/// The first two fields count the classical enumeration loop; the rest
-/// are the deterministic hash-consing counters the perf gate tracks
-/// (`BENCH_compile.json`). All are exact and platform-independent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SelectStats {
-    /// Variants enumerated.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes newly interned into the pool.
-    pub interned_nodes: u64,
-    /// Node constructions answered by the pool (allocation avoided).
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache (labelling avoided).
-    pub labels_memoized: u64,
-    /// Already-generated variants skipped because the best cover could
-    /// no longer be beaten (or the search budget ran out).
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by the variant stream (enumeration
-    /// work, before de-duplication).
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees detected by the block DAG
-    /// analysis (sharing *candidates*, before the cost model runs).
-    pub shared_subtrees: u64,
-    /// Candidates the cost model chose to compute once and reference
-    /// from a parked register (DAG covering cuts accepted).
-    pub shares_taken: u64,
-    /// Candidates the cost model chose to recompute at every use
-    /// (sharing would not have paid on this target).
-    pub recomputes_chosen: u64,
-}
-
-impl SelectStats {
-    /// Adds `other` into `self` (statement → pass aggregation).
-    pub fn absorb(&mut self, other: &SelectStats) {
-        self.variants += other.variants;
-        self.covered += other.covered;
-        self.interned_nodes += other.interned_nodes;
-        self.dedup_hits += other.dedup_hits;
-        self.labels_computed += other.labels_computed;
-        self.labels_memoized += other.labels_memoized;
-        self.variants_pruned += other.variants_pruned;
-        self.search_steps += other.search_steps;
-        self.shared_subtrees += other.shared_subtrees;
-        self.shares_taken += other.shares_taken;
-        self.recomputes_chosen += other.recomputes_chosen;
-    }
-}
+select_counters!(counter_struct! {
+    /// Selection statistics of a statement, a block or a whole pass
+    /// (summed with [`SelectCounters::add_counters`]). Every counter is
+    /// exact and platform-independent; the perf gate tracks them in
+    /// `BENCH_compile.json`.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SelectStats {}
+});
 
 /// The resource caps selection checks once per statement (see
 /// [`Emitter::emit_statements`]). The default checks nothing.
@@ -98,9 +55,9 @@ impl SelectBudget<'_> {
     /// The variant limit for the next statement when `spent` variants
     /// were enumerated before it: stop enumerating one past the cap,
     /// where the check after the statement fires anyway.
-    fn limit(&self, variant_limit: usize, spent: usize) -> usize {
+    fn limit(&self, variant_limit: usize, spent: u64) -> usize {
         match self.max_variants {
-            Some(cap) => variant_limit.min(cap.saturating_sub(spent) + 1),
+            Some(cap) => variant_limit.min(cap.saturating_sub(spent as usize) + 1),
             None => variant_limit,
         }
     }
@@ -108,15 +65,15 @@ impl SelectBudget<'_> {
     /// Charges one selected statement that enumerated `variants`, with
     /// `spent` variants enumerated in the pass so far (this statement's
     /// included).
-    fn charge(&self, variants: usize, spent: usize) -> Result<(), CompileError> {
+    fn charge(&self, variants: u64, spent: u64) -> Result<(), CompileError> {
         let exceeded = |resource: &str| CompileError::Budget {
             pass: "select".into(),
             resource: resource.to_string(),
         };
         if let Some(search) = self.search {
-            search.charge(variants.max(1) as u64).map_err(|e| exceeded(e.resource))?;
+            search.charge(variants.max(1)).map_err(|e| exceeded(e.resource))?;
         }
-        if self.max_variants.is_some_and(|cap| spent > cap) {
+        if self.max_variants.is_some_and(|cap| spent > cap as u64) {
             return Err(exceeded("variants"));
         }
         Ok(())
@@ -249,7 +206,7 @@ impl<'t> Emitter<'t> {
         let mut work: Vec<AssignStmt> = vec![stmt.clone()];
         while let Some(cur) = work.pop() {
             let (insns, stats) = self.emit_one(&cur, rules, variant_limit, fold_constants)?;
-            total_stats.absorb(&stats);
+            total_stats.add_counters(&stats);
             if self.verify_statement(&cur, &insns) {
                 out.extend(insns);
                 continue;
@@ -292,7 +249,7 @@ impl<'t> Emitter<'t> {
         for stmt in stmts {
             let limit = budget.limit(variant_limit, stats.variants);
             let (insns, one) = self.emit_assign(stmt, rules, limit, fold_constants)?;
-            stats.absorb(&one);
+            stats.add_counters(&one);
             budget.charge(one.variants, stats.variants)?;
             runs.push(insns);
         }
@@ -608,7 +565,7 @@ impl<'t> Emitter<'t> {
                     // register that now holds a parked value
                     let (insns, st) =
                         self.emit_assign(stmt, rules, variant_limit, fold_constants)?;
-                    stats.absorb(&st);
+                    stats.add_counters(&st);
                     out.extend(insns);
                 }
             }
@@ -853,7 +810,7 @@ impl<'t> Emitter<'t> {
     ) -> Option<(usize, record_burg::Cover)> {
         let mut best: Option<(Cost, usize, record_burg::Cover)> = None;
         let all = variants(base, rules, variant_limit);
-        stats.variants += all.len();
+        stats.variants += all.len() as u64;
         for tree in all {
             if let Some((nt, cover)) = self.matcher.best_cover(&tree, &self.candidates) {
                 stats.covered += 1;

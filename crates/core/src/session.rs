@@ -33,7 +33,7 @@ use record_isa::{Code, TargetDesc};
 use record_trace::{MetricsRegistry, SpanRecorder, Tracer};
 
 use crate::cache::{self, CacheKey, CacheStats, CompileCache};
-use crate::timing::PhaseTimings;
+use crate::timing::{PhaseTimings, SelectCounters, COUNTERS};
 use crate::{CompileError, Compiler, PassPlan};
 
 /// In-memory entry bound of the code cache when
@@ -68,22 +68,49 @@ fn observe_compile(metrics: &MetricsRegistry, timings: &PhaseTimings) {
         timings.total.as_secs_f64() * 1e6,
     );
     metrics.observe("record_kernel_insns", SIZE_BUCKETS, timings.insns as f64);
-    metrics.add("record_variants_total", timings.variants as u64);
-    metrics.add("record_variants_pruned_total", timings.variants_pruned);
-    metrics.add("record_interned_nodes_total", timings.interned_nodes);
-    metrics.add("record_dedup_hits_total", timings.dedup_hits);
-    metrics.add("record_labels_computed_total", timings.labels_computed);
-    metrics.add("record_labels_memoized_total", timings.labels_memoized);
-    metrics.add("record_search_steps_total", timings.search_steps);
-    metrics.add("record_shared_subtrees_total", timings.shared_subtrees);
-    metrics.add("record_shares_taken_total", timings.shares_taken);
-    metrics.add("record_recomputes_chosen_total", timings.recomputes_chosen);
+    for (counter, (_, value)) in COUNTERS.iter().zip(timings.counters()) {
+        metrics.add(counter.metric, value);
+    }
     if let Some(last) = timings.passes.last() {
         metrics.observe("record_kernel_words", SIZE_BUCKETS, f64::from(last.after.words));
         if last.after.insns > 0 {
             let ops = (last.after.insns + last.after.parallel_ops) as f64;
             metrics.observe("record_bundle_fill", FILL_BUCKETS, ops / last.after.insns as f64);
         }
+    }
+}
+
+/// What finished compiles add to a [`Session`]'s ledger: a single
+/// compile fills one and settles it at once, a batch worker fills one
+/// across its jobs and settles it when it runs out of work.
+#[derive(Default)]
+struct Tally {
+    compiles: usize,
+    salvaged: usize,
+    timings: PhaseTimings,
+}
+
+/// Counts one finished compile into `tally` and `metrics`: a cache hit is
+/// a compile that did no phase work (kept out of the timing aggregate and
+/// the latency/size histograms), a fresh compile adds its salvages and
+/// timings, and an error counts into `record_compile_errors_total`.
+fn count_compile(
+    metrics: &MetricsRegistry,
+    tally: &mut Tally,
+    result: &Result<(Code, PhaseTimings), CompileError>,
+) {
+    match result {
+        Ok((_, timings)) => {
+            tally.compiles += 1;
+            if timings.from_cache {
+                metrics.inc("record_compiles_total");
+            } else {
+                tally.salvaged += timings.salvages.len();
+                tally.timings.absorb(timings);
+                observe_compile(metrics, timings);
+            }
+        }
+        Err(_) => metrics.inc("record_compile_errors_total"),
     }
 }
 
@@ -396,10 +423,11 @@ impl Session {
         let compiler = self.compiler_for(target)?;
         let mut disabled = SpanRecorder::disabled();
         let rec = recorder.unwrap_or(&mut disabled);
-        let (code, timings) =
-            self.count_errors(self.compile_one(&compiler, input, deadline, rec))?;
-        self.record(&timings);
-        Ok((code, timings))
+        let result = self.compile_one(&compiler, input, deadline, rec);
+        let mut tally = Tally::default();
+        count_compile(&self.metrics, &mut tally, &result);
+        self.settle(&tally);
+        result
     }
 
     /// Parses, lowers and compiles a mini-DFL source text through the
@@ -485,29 +513,13 @@ impl Session {
         self.timings.lock().expect("timings lock").clone()
     }
 
-    fn record(&self, timings: &PhaseTimings) {
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        if timings.from_cache {
-            // a cache hit is a compile (the caller got code) but did no
-            // phase work: count it, keep the zeroed timings out of the
-            // aggregate and the latency/size histograms
-            self.metrics.inc("record_compiles_total");
-            self.update_rate_gauges();
-            return;
-        }
-        self.salvaged.fetch_add(timings.salvages.len(), Ordering::Relaxed);
-        self.timings.lock().expect("timings lock").absorb(timings);
-        observe_compile(&self.metrics, timings);
+    /// Folds a [`Tally`] into the session's counters and timing
+    /// aggregate.
+    fn settle(&self, tally: &Tally) {
+        self.compiles.fetch_add(tally.compiles, Ordering::Relaxed);
+        self.salvaged.fetch_add(tally.salvaged, Ordering::Relaxed);
+        self.timings.lock().expect("timings lock").absorb(&tally.timings);
         self.update_rate_gauges();
-    }
-
-    /// Counts a failed compile into `record_compile_errors_total`
-    /// (successes pass through untouched).
-    fn count_errors<T>(&self, result: Result<T, CompileError>) -> Result<T, CompileError> {
-        if result.is_err() {
-            self.metrics.inc("record_compile_errors_total");
-        }
-        result
     }
 
     /// Credits the cache with the reuse a batch actually gets: program
@@ -697,10 +709,8 @@ impl Session {
         thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let mut local_timings = PhaseTimings::default();
+                    let mut tally = Tally::default();
                     let local_metrics = MetricsRegistry::new();
-                    let mut local_compiles = 0usize;
-                    let mut local_salvaged = 0usize;
                     let mut did_anything = false;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -725,31 +735,12 @@ impl Session {
                                     })
                                 })
                         };
-                        let outcome = match result {
-                            Ok((code, timings)) => {
-                                local_compiles += 1;
-                                if timings.from_cache {
-                                    local_metrics.inc("record_compiles_total");
-                                } else {
-                                    local_salvaged += timings.salvages.len();
-                                    local_timings.absorb(&timings);
-                                    observe_compile(&local_metrics, &timings);
-                                }
-                                Ok(code)
-                            }
-                            Err(e) => {
-                                local_metrics.inc("record_compile_errors_total");
-                                Err(e)
-                            }
-                        };
-                        *slots[i].lock().expect("slot lock") = Some(outcome);
+                        count_compile(&local_metrics, &mut tally, &result);
+                        *slots[i].lock().expect("slot lock") = Some(result.map(|(code, _)| code));
                     }
                     if did_anything {
-                        self.compiles.fetch_add(local_compiles, Ordering::Relaxed);
-                        self.salvaged.fetch_add(local_salvaged, Ordering::Relaxed);
-                        self.timings.lock().expect("timings lock").absorb(&local_timings);
                         self.metrics.merge(&local_metrics);
-                        self.update_rate_gauges();
+                        self.settle(&tally);
                     }
                 });
             }
@@ -915,24 +906,33 @@ mod tests {
     #[test]
     fn batch_hit_ratio_matches_sequential() {
         let target = record_isa::targets::tic25::target();
-        let sources: Vec<String> = (0..8).map(src).collect();
+        let mut sources: Vec<String> = (0..8).map(src).collect();
+        sources.insert(3, "program broken; begin nope".to_string());
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
 
         let sequential = Session::new();
         for s in &refs {
-            sequential.compile_source(&target, s).unwrap();
+            let _ = sequential.compile_source(&target, s);
         }
         let batch = Session::new();
         batch.compile_batch(&target, &sources_of(&refs), None).unwrap();
 
         let (s, b) = (sequential.stats(), batch.stats());
-        assert_eq!((b.hits, b.misses), (s.hits, s.misses), "batch {b:?} vs sequential {s:?}");
-        assert_eq!(b.misses, 1);
-        assert_eq!(b.hits, 7);
+        assert_eq!(b, s, "batch {b:?} vs sequential {s:?}");
+        assert_eq!((b.misses, b.hits, b.compiles), (1, 8, 8));
         // the metrics registry agrees with the atomic counters
-        assert_eq!(batch.metrics().counter("record_cache_hits_total"), 7);
+        assert_eq!(batch.metrics().counter("record_cache_hits_total"), 8);
         assert_eq!(batch.metrics().counter("record_cache_misses_total"), 1);
         assert_eq!(batch.metrics().counter("record_compiles_total"), 8);
+        assert_eq!(batch.metrics().counter("record_compile_errors_total"), 1);
+        // both paths count a finished compile the same way
+        let totals = |session: &Session| -> Vec<(String, u64)> {
+            let snapshot = session.metrics().snapshot();
+            let names = snapshot.keys().filter(|name| name.ends_with("_total"));
+            names.map(|name| (name.clone(), session.metrics().counter(name))).collect()
+        };
+        assert_eq!(totals(&batch), totals(&sequential));
+        assert_eq!(batch.timings().counters(), sequential.timings().counters());
     }
 
     #[test]

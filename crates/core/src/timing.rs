@@ -6,11 +6,133 @@
 //! times, and the selection work counters. Timings are additive — [`PhaseTimings::absorb`] accumulates
 //! them across statements, kernels or whole batches — so the same struct
 //! serves a single compile and a session-wide aggregate.
+//!
+//! The selection work counters are declared once, in `select_counters!`.
+//! Every struct that carries them ([`SelectStats`](crate::select::SelectStats),
+//! [`CompilationUnit`](crate::CompilationUnit), [`PhaseTimings`]) gets
+//! its counter fields and its [`SelectCounters`] impl from that list,
+//! and every exporter (span attributes, `/metrics`, `BENCH_compile.json`,
+//! the perf gate) walks [`COUNTERS`] or [`SelectCounters::counters`].
 
 use std::fmt;
 use std::time::Duration;
 
 use record_isa::{Code, InsnKind, Loc};
+
+/// Hands the selection work counters to `$callback`, after its own
+/// tokens: one `name: Direction, "doc";` entry per counter, in report
+/// order. This is the only place the counter set is written down —
+/// adding an entry here adds the field to every counter struct, the
+/// span attribute, the `record_<name>_total` series, the
+/// `BENCH_compile.json` key and the perf-gate check.
+macro_rules! select_counters {
+    ($callback:ident! { $($head:tt)* }) => {
+        $callback! {
+            { $($head)* }
+            statements: Work, "Statements selected (after tree decomposition).";
+            variants: Work, "Tree variants enumerated across all statements.";
+            covered: Work, "Variants that produced a legal cover.";
+            interned_nodes: Work, "Distinct tree nodes interned by the hash-consing pool.";
+            dedup_hits: Savings, "Node constructions answered by the pool (allocation avoided).";
+            labels_computed: Work, "BURS label states computed from scratch.";
+            labels_memoized: Savings, "BURS labellings answered from the memo cache.";
+            variants_pruned: Savings, "Variants skipped by the cost-floor cutoff or a search cap.";
+            search_steps: Work, "Candidate rewrites generated; what `max_search_steps` caps.";
+            shared_subtrees: Savings, "Soundly shareable multi-use subtrees in the block DAG.";
+            shares_taken: Savings, "DAG sharing candidates computed once into a parked register.";
+            recomputes_chosen: Work, "DAG sharing candidates recomputed at every use instead.";
+        }
+    };
+}
+pub(crate) use select_counters;
+
+/// `select_counters!` callback: declares the given struct with its own
+/// fields followed by one public `u64` field per counter, and implements
+/// [`SelectCounters`] for it.
+macro_rules! counter_struct {
+    (
+        { $(#[$attr:meta])* $vis:vis struct $name:ident $(<$lt:lifetime>)? { $($fields:tt)* } }
+        $($counter:ident: $dir:ident, $doc:literal;)*
+    ) => {
+        $(#[$attr])*
+        $vis struct $name $(<$lt>)? {
+            $($fields)*
+            $(#[doc = $doc] pub $counter: u64,)*
+        }
+
+        impl $(<$lt>)? $crate::timing::SelectCounters for $name $(<$lt>)? {
+            fn counters(&self) -> [(&'static str, u64); $crate::timing::COUNTERS.len()] {
+                [$((stringify!($counter), self.$counter)),*]
+            }
+
+            fn counters_mut(&mut self) -> [&mut u64; $crate::timing::COUNTERS.len()] {
+                [$(&mut self.$counter),*]
+            }
+        }
+    };
+}
+pub(crate) use counter_struct;
+
+/// `select_counters!` callback: the struct expression `Name { fields }`
+/// with every counter field set to zero.
+macro_rules! zero_counters {
+    ({ $name:ident { $($fields:tt)* } } $($counter:ident: $dir:ident, $doc:literal;)*) => {
+        $name { $($fields)* $($counter: 0,)* }
+    };
+}
+pub(crate) use zero_counters;
+
+/// `select_counters!` callback: the [`COUNTERS`] table.
+macro_rules! counter_table {
+    ({} $($counter:ident: $dir:ident, $doc:literal;)*) => {
+        /// Every selection work counter, in report order.
+        pub const COUNTERS: [Counter; [$(stringify!($counter)),*].len()] = [$(Counter {
+            name: stringify!($counter),
+            metric: concat!("record_", stringify!($counter), "_total"),
+            direction: Direction::$dir,
+        }),*];
+    };
+}
+
+select_counters!(counter_table! {});
+
+/// Which way a counter moves when the compiler does worse.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// Work done: a regression makes it rise.
+    Work,
+    /// Work avoided: a regression makes it fall.
+    Savings,
+}
+
+/// One selection work counter of [`COUNTERS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter {
+    /// Field name; also the `select` span attribute and the
+    /// `BENCH_compile.json` key.
+    pub name: &'static str,
+    /// The metrics series, `record_<name>_total`.
+    pub metric: &'static str,
+    /// Which way the counter regresses.
+    pub direction: Direction,
+}
+
+/// A struct carrying every counter of [`COUNTERS`] as a named `u64`
+/// field (implemented by `select_counters!`, never by hand).
+pub trait SelectCounters {
+    /// The counters as `(name, value)` pairs, in [`COUNTERS`] order.
+    fn counters(&self) -> [(&'static str, u64); COUNTERS.len()];
+
+    /// The counter fields, in [`COUNTERS`] order.
+    fn counters_mut(&mut self) -> [&mut u64; COUNTERS.len()];
+
+    /// Adds `other`'s counters into `self`.
+    fn add_counters(&mut self, other: &impl SelectCounters) {
+        for (mine, (_, theirs)) in self.counters_mut().into_iter().zip(other.counters()) {
+            *mine += theirs;
+        }
+    }
+}
 
 /// A snapshot of code-shape counters, taken before and after each pass so
 /// a [`PassRecord`] can show what the pass actually did to the code.
@@ -119,55 +241,32 @@ const PHASES: [(&str, &[&str]); 7] = [
     ("modes", &["modes"]),
 ];
 
-/// Wall-clock time and work counters of a compile, per pass.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PhaseTimings {
-    /// DFL lexing + parsing (zero when compiling from a prebuilt LIR).
-    pub parse: Duration,
-    /// AST → LIR lowering (zero when compiling from a prebuilt LIR).
-    pub lower: Duration,
-    /// End-to-end time of the compile (≥ the sum of the passes).
-    pub total: Duration,
-    /// Statements selected (after tree decomposition).
-    pub statements: usize,
-    /// Tree variants enumerated across all statements.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes interned by selection's hash-consing pool.
-    pub interned_nodes: u64,
-    /// Tree-node constructions answered by the pool (allocation avoided).
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch during selection.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache (labelling avoided).
-    pub labels_memoized: u64,
-    /// Generated variants skipped by the cost-floor short-circuit (or a
-    /// search budget).
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by variant enumeration.
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees found by block DAG analysis.
-    pub shared_subtrees: u64,
-    /// DAG sharing candidates computed once into a parked register.
-    pub shares_taken: u64,
-    /// DAG sharing candidates recomputed at every use instead.
-    pub recomputes_chosen: u64,
-    /// Instructions in the final code.
-    pub insns: usize,
-    /// `true` when this "compile" was answered by the session's compile
-    /// cache: no phase ran, every duration and counter above is zero.
-    /// [`Session`](crate::Session) counts it as a compile but keeps it
-    /// out of the timing aggregate and the latency/size histograms,
-    /// which describe work actually performed.
-    pub from_cache: bool,
-    /// Per-pass records in execution order, as registered by the
-    /// `PassPlan` that drove the compile.
-    pub passes: Vec<PassRecord>,
-    /// Graceful-degradation trail: one record per best-effort pass the
-    /// driver dropped to salvage this compile (empty on a clean compile).
-    pub salvages: Vec<SalvageRecord>,
-}
+select_counters!(counter_struct! {
+    /// Wall-clock time and work counters of a compile, per pass.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct PhaseTimings {
+        /// DFL lexing + parsing (zero when compiling from a prebuilt LIR).
+        pub parse: Duration,
+        /// AST → LIR lowering (zero when compiling from a prebuilt LIR).
+        pub lower: Duration,
+        /// End-to-end time of the compile (≥ the sum of the passes).
+        pub total: Duration,
+        /// Instructions in the final code.
+        pub insns: usize,
+        /// `true` when this "compile" was answered by the session's compile
+        /// cache: no phase ran, every duration and counter is zero.
+        /// [`Session`](crate::Session) counts it as a compile but keeps it
+        /// out of the timing aggregate and the latency/size histograms,
+        /// which describe work actually performed.
+        pub from_cache: bool,
+        /// Per-pass records in execution order, as registered by the
+        /// `PassPlan` that drove the compile.
+        pub passes: Vec<PassRecord>,
+        /// Graceful-degradation trail: one record per best-effort pass the
+        /// driver dropped to salvage this compile (empty on a clean compile).
+        pub salvages: Vec<SalvageRecord>,
+    }
+});
 
 impl PhaseTimings {
     /// Adds `other`'s durations and counters into `self`.
@@ -175,18 +274,7 @@ impl PhaseTimings {
         self.parse += other.parse;
         self.lower += other.lower;
         self.total += other.total;
-        self.statements += other.statements;
-        self.variants += other.variants;
-        self.covered += other.covered;
-        self.interned_nodes += other.interned_nodes;
-        self.dedup_hits += other.dedup_hits;
-        self.labels_computed += other.labels_computed;
-        self.labels_memoized += other.labels_memoized;
-        self.variants_pruned += other.variants_pruned;
-        self.search_steps += other.search_steps;
-        self.shared_subtrees += other.shared_subtrees;
-        self.shares_taken += other.shares_taken;
-        self.recomputes_chosen += other.recomputes_chosen;
+        self.add_counters(other);
         self.insns += other.insns;
         for r in &other.passes {
             match self.passes.iter_mut().find(|p| p.name == r.name) {
@@ -242,29 +330,10 @@ impl fmt::Display for PhaseTimings {
             )?;
         }
         writeln!(f, "  {:<10} {:>12}", "total", format_duration(self.total))?;
-        write!(
-            f,
-            "  {} statements, {} variants ({} covered), {} instructions",
-            self.statements, self.variants, self.covered, self.insns
-        )?;
-        if self.interned_nodes > 0 || self.labels_computed > 0 {
-            write!(
-                f,
-                "\n  {} interned nodes ({} dedup hits), {} labels ({} memoized), {} variants pruned, {} search steps",
-                self.interned_nodes,
-                self.dedup_hits,
-                self.labels_computed,
-                self.labels_memoized,
-                self.variants_pruned,
-                self.search_steps
-            )?;
-        }
-        if self.shared_subtrees > 0 {
-            write!(
-                f,
-                "\n  {} shared subtrees ({} shares taken, {} recomputed)",
-                self.shared_subtrees, self.shares_taken, self.recomputes_chosen
-            )?;
+        write!(f, "  {} instructions", self.insns)?;
+        for (i, (name, value)) in self.counters().into_iter().enumerate() {
+            let sep = if i % 4 == 0 { "\n  " } else { ", " };
+            write!(f, "{sep}{name} {value}")?;
         }
         Ok(())
     }
@@ -283,7 +352,7 @@ fn format_duration(d: Duration) -> String {
 mod tests {
     use super::*;
 
-    fn select_taking(us: u64, statements: usize) -> PhaseTimings {
+    fn select_taking(us: u64, statements: u64) -> PhaseTimings {
         let select = PassRecord {
             name: "select".into(),
             time: Duration::from_micros(us),

@@ -7,17 +7,14 @@
 //!
 //! Counters gate in the direction that means "the compiler did worse":
 //!
-//! * **work counters** (`statements`, `variants`, `covered`,
-//!   `interned_nodes`, `labels_computed`, `search_steps`,
-//!   `recomputes_chosen`, `insns`, `words`) regress by *increasing* —
-//!   the selector enumerated, labelled, recomputed, or emitted more than
-//!   it used to;
-//! * **savings counters** (`dedup_hits`, `labels_memoized`,
-//!   `variants_pruned`, `shared_subtrees`, `shares_taken`) regress by
-//!   *decreasing* — hash-consing or memoization stopped paying off, the
-//!   block DAG builder stopped finding shareable values, or the emitter
-//!   stopped taking shares it used to take (e.g. dsp56k MAC kernels
-//!   falling back to recomputation).
+//! * every selection counter in [`record::COUNTERS`] gates in its
+//!   declared [`Direction`]: a **work** counter regresses by *increasing*
+//!   (the selector enumerated, labelled or recomputed more than it used
+//!   to), a **savings** counter by *decreasing* (hash-consing or
+//!   memoization stopped paying off, the block DAG builder stopped
+//!   finding shareable values, or the emitter stopped taking shares it
+//!   used to take);
+//! * the code-size counters `insns` and `words` regress by increasing.
 //!
 //! Wall-clock time (`wall_us`) is printed for context but **never
 //! gated**: it varies with the runner, while every gated counter is a
@@ -53,24 +50,11 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use record::{Direction, COUNTERS};
 use record_trace::json::{parse, Value};
 
-/// Counters that regress by increasing (more work / bigger code).
-const WORK: [&str; 9] = [
-    "statements",
-    "variants",
-    "covered",
-    "interned_nodes",
-    "labels_computed",
-    "search_steps",
-    "recomputes_chosen",
-    "insns",
-    "words",
-];
-
-/// Counters that regress by decreasing (lost savings).
-const SAVINGS: [&str; 5] =
-    ["dedup_hits", "labels_memoized", "variants_pruned", "shared_subtrees", "shares_taken"];
+/// Code-size counters of every row; they regress by increasing.
+const SIZE: [&str; 2] = ["insns", "words"];
 
 /// Compile-cache counters (`record-cache/v1`) that regress by increasing:
 /// more misses, evictions or corrupt entries for the same compile
@@ -233,21 +217,22 @@ fn run() -> Result<bool, String> {
         };
         wall_cur += counter(cur, "wall_us");
         wall_base += counter(base, "wall_us");
-        for name in WORK {
+        let selection = COUNTERS.iter().map(|c| (c.name, c.direction));
+        for (name, direction) in selection.chain(SIZE.map(|name| (name, Direction::Work))) {
             let (c, b) = (counter(cur, name), counter(base, name));
-            if c > b * (1.0 + tolerance) {
-                println!(
-                    "FAIL {kernel}/{target}: {name} rose {b} -> {c} (> {:.0}%)",
-                    tolerance * 100.0
-                );
-                ok = false;
-            }
-        }
-        for name in SAVINGS {
-            let (c, b) = (counter(cur, name), counter(base, name));
-            if c < b * (1.0 - tolerance) {
-                println!("FAIL {kernel}/{target}: {name} fell {b} -> {c}");
-                ok = false;
+            match direction {
+                Direction::Work if c > b * (1.0 + tolerance) => {
+                    println!(
+                        "FAIL {kernel}/{target}: {name} rose {b} -> {c} (> {:.0}%)",
+                        tolerance * 100.0
+                    );
+                    ok = false;
+                }
+                Direction::Savings if c < b * (1.0 - tolerance) => {
+                    println!("FAIL {kernel}/{target}: {name} fell {b} -> {c}");
+                    ok = false;
+                }
+                _ => {}
             }
         }
     }

@@ -9,7 +9,7 @@
 //! enumerate-then-cover selector alive, and every kernel is compiled
 //! through both selectors and compared on rendered assembly.
 
-use record::{reference_select_pass, select_pass, Compiler, PassPlan, Session};
+use record::{reference_select_pass, select_pass, Compiler, PassPlan, SelectCounters, Session};
 use record_burg::{LabelCache, Matcher};
 use record_ir::transform::{variants, variants_interned, RuleSet};
 use record_ir::{BinOp, Tree, TreePool, UnOp};
@@ -182,18 +182,9 @@ fn bench_baseline_matches_current_deterministic_counters() {
             .unwrap_or_else(|| panic!("{}/{} missing from baseline", row.kernel, row.target));
         let num = |k: &str| base.get(k).and_then(Value::as_f64).unwrap() as u64;
         let ctx = format!("{}/{}", row.kernel, row.target);
-        assert_eq!(num("statements"), row.statements as u64, "{ctx}: statements");
-        assert_eq!(num("variants"), row.variants as u64, "{ctx}: variants");
-        assert_eq!(num("covered"), row.covered as u64, "{ctx}: covered");
-        assert_eq!(num("interned_nodes"), row.interned_nodes, "{ctx}: interned_nodes");
-        assert_eq!(num("dedup_hits"), row.dedup_hits, "{ctx}: dedup_hits");
-        assert_eq!(num("labels_computed"), row.labels_computed, "{ctx}: labels_computed");
-        assert_eq!(num("labels_memoized"), row.labels_memoized, "{ctx}: labels_memoized");
-        assert_eq!(num("variants_pruned"), row.variants_pruned, "{ctx}: variants_pruned");
-        assert_eq!(num("search_steps"), row.search_steps, "{ctx}: search_steps");
-        assert_eq!(num("shared_subtrees"), row.shared_subtrees, "{ctx}: shared_subtrees");
-        assert_eq!(num("shares_taken"), row.shares_taken, "{ctx}: shares_taken");
-        assert_eq!(num("recomputes_chosen"), row.recomputes_chosen, "{ctx}: recomputes_chosen");
+        for (name, value) in row.select.counters() {
+            assert_eq!(num(name), value, "{ctx}: {name}");
+        }
         assert_eq!(num("insns"), row.insns as u64, "{ctx}: insns");
         assert_eq!(num("words"), row.words as u64, "{ctx}: words");
     }

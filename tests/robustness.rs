@@ -263,7 +263,7 @@ fn variant_budget_crossed_mid_block_stops_at_the_crossing_statement() {
     let mut recorder = SpanRecorder::disabled();
     let (_, alone) = compiler.compile_recorded(&first, &plan, &mut recorder).unwrap();
     let cap = alone.variants;
-    let budgets = Budgets { max_variants: Some(cap), ..Budgets::unlimited() };
+    let budgets = Budgets { max_variants: Some(cap as usize), ..Budgets::unlimited() };
 
     match compiler.compile(&block, &plan.clone().with_budgets(budgets)) {
         Err(CompileError::Budget { pass, resource }) => {

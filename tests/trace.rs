@@ -7,7 +7,8 @@
 
 use std::sync::Arc;
 
-use record::{AttrValue, Compiler, PassPlan, Session, Tracer};
+use record::report::{kernel_bench_report, render_kernel_bench_json};
+use record::{AttrValue, Compiler, PassPlan, SelectCounters, Session, Tracer, COUNTERS};
 use record_repro::fuzz::FlakyPass;
 use record_trace::json;
 
@@ -103,6 +104,39 @@ fn session_compile_span_tree_covers_every_pass() {
     }
     // the cache miss for the freshly built compiler is an instant event
     assert!(tracer.instants().iter().any(|(_, e)| e.name == "cache-miss"));
+}
+
+/// Every selection counter reads the same through each exporter: the
+/// `select` span attribute, the `record_<name>_total` series, the
+/// `BENCH_compile.json` key and the `PhaseTimings` field.
+#[test]
+fn every_select_counter_agrees_across_exporters() {
+    let kernel = record_dspstone::kernel("complex_update").expect("known kernel");
+    let tracer = Arc::new(Tracer::fake_clock());
+    let session = Session::new().with_tracer(tracer.clone());
+    let target = record_isa::targets::tic25::target();
+    let (_, timings) = session.compile_source_timed(&target, kernel.source).unwrap();
+    assert!(timings.search_steps > 0 && timings.variants > 1, "{timings:?}");
+
+    let traces = tracer.traces();
+    let select = traces[0].root.children.iter().find(|s| s.name == "select").expect("select span");
+
+    let rows = kernel_bench_report(&Session::new()).unwrap();
+    let row = rows.iter().find(|r| r.kernel == kernel.name && r.target == target.name).unwrap();
+    let doc = json::parse(&render_kernel_bench_json(std::slice::from_ref(row))).unwrap();
+    let bench = &doc.get("kernels").and_then(json::Value::as_array).unwrap()[0];
+
+    for ((name, value), counter) in timings.counters().into_iter().zip(COUNTERS) {
+        assert_eq!(name, counter.name);
+        assert_eq!(counter.metric, format!("record_{name}_total"));
+        assert_eq!(select.attr(name), Some(&AttrValue::Int(value as i64)), "span attribute {name}");
+        assert_eq!(session.metrics().counter(counter.metric), value, "{}", counter.metric);
+        assert_eq!(
+            bench.get(name).and_then(json::Value::as_f64),
+            Some(value as f64),
+            "bench {name}"
+        );
+    }
 }
 
 /// A poisoned best-effort pass leaves a `salvage` event on the compile's
