@@ -3,13 +3,6 @@
 //! second) and the cost of enumerating and matching algebraic variants
 //! per statement, which is RECORD's whole selection strategy.
 
-//!
-//! `cargo bench --bench burs_speed -- smoke` runs the CI smoke subset:
-//! the streamed/interned hot path is checked against the boxed reference
-//! (same variant counts, same best cover) and the deterministic work
-//! counters — dedup hits, memoized labels, skipped enumeration — are
-//! printed and asserted non-trivial.
-
 use record_bench::criterion;
 use record_bench::{black_box, Criterion};
 use record_burg::{LabelCache, Matcher};
@@ -54,57 +47,6 @@ fn print_stats() {
         "matcher throughput: {per:?} per tree (~{:.0}k trees/s) — \"the high speed of iburg-based matchers\"",
         1.0e6 / per.as_micros().max(1) as f64
     );
-}
-
-/// CI smoke: the interned hot path (hash-consed pool + streamed
-/// enumeration + memoized labelling) must agree with the boxed reference
-/// on every variant count and best-cover weight, and its deterministic
-/// work counters must show it actually saved work.
-fn smoke() {
-    let target = record_isa::targets::tic25::target();
-    let matcher = Matcher::new(&target);
-    let acc = target.nt("acc").unwrap();
-    let tree = statement_tree();
-
-    let mut pool = TreePool::new();
-    let mut cache = LabelCache::new();
-    for limit in [1usize, 8, 32, 128] {
-        let boxed = variants(&tree, &RuleSet::all(), limit);
-        let ids = variants_interned(&mut pool, &tree, &RuleSet::all(), limit);
-        assert_eq!(boxed.len(), ids.len(), "limit {limit}: streamed count diverges");
-        for (v, &id) in boxed.iter().zip(&ids) {
-            let reference = matcher.cover(v, acc).map(|c| c.cost.weight());
-            let interned =
-                matcher.cover_interned(&pool, id, &mut cache, acc).map(|c| c.cost.weight());
-            assert_eq!(reference, interned, "limit {limit}: cover diverges on a variant");
-        }
-        println!(
-            "smoke limit {limit:>4}: {:>4} variants, pool {:>4} nodes, {:>5} dedup hits, labels {:>4} computed / {:>5} memoized",
-            ids.len(),
-            pool.len(),
-            pool.dedup_hits(),
-            cache.misses(),
-            cache.hits()
-        );
-    }
-    assert!(pool.dedup_hits() > 0, "hash-consing never deduplicated a node");
-    assert!(cache.hits() > 0, "label memoization never hit");
-
-    // Budget-aware streaming: stop after two yielded variants (the
-    // original plus one rewrite) and count the enumeration work the
-    // eager path would have wasted.
-    let mut stream = VariantStream::new(&mut pool, &tree, RuleSet::all(), 128);
-    for _ in 0..2 {
-        let id = stream.next(&mut pool).expect("variant streams on demand");
-        let _ = matcher.cover_interned(&pool, id, &mut cache, acc);
-    }
-    assert!(stream.pending() > 0, "early stop skipped no buffered variants");
-    println!(
-        "smoke early-stop: 2 variants consumed, {} generated-but-unread skipped, {} rewrite steps charged",
-        stream.pending(),
-        stream.steps()
-    );
-    println!("burs_speed smoke OK");
 }
 
 fn bench(c: &mut Criterion) {
@@ -161,10 +103,6 @@ fn bench(c: &mut Criterion) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "smoke") {
-        smoke();
-        return;
-    }
     print_stats();
     let mut c = criterion();
     bench(&mut c);

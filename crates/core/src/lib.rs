@@ -81,7 +81,8 @@ mod error;
 pub use cache::{CacheKey, CacheStats, CompileCache, ScrubStats};
 pub use error::{CompileError, TargetError};
 pub use pass::{
-    compact_pass, modes_pass, reference_select_pass, select_pass, CompilationUnit, Pass, PassPlan,
+    compact_pass, modes_pass, panic_message, reference_select_pass, select_pass, CompilationUnit,
+    Pass, PassPlan,
 };
 pub use pipeline::{Budgets, Compiler};
 pub use record_trace::{
@@ -89,6 +90,5 @@ pub use record_trace::{
 };
 pub use session::{CompileInput, Session, SessionStats};
 pub use timing::{
-    CodeStats, Counter, Direction, PassRecord, PhaseTimings, SalvageRecord, SelectCounters,
-    COUNTERS,
+    CodeStats, Counter, PassRecord, PhaseTimings, SalvageRecord, SelectCounters, COUNTERS,
 };

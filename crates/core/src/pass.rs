@@ -526,7 +526,7 @@ impl PassFailure {
 
 /// Renders a caught panic payload (the `String`/`&str` cases cover
 /// `panic!`/`assert!`; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -811,9 +811,9 @@ impl SelectPass {
         let stmts = std::mem::take(block);
         let (rules, limit) = (&self.rules, self.variant_limit);
         if self.dag_cover && !self.reference {
-            out.extend(emitter.emit_block(&stmts, rules, limit, false, budget, stats)?);
+            out.extend(emitter.emit_block(&stmts, rules, limit, budget, stats)?);
         } else {
-            for insns in emitter.emit_statements(&stmts, rules, limit, false, budget, stats)? {
+            for insns in emitter.emit_statements(&stmts, rules, limit, budget, stats)? {
                 out.extend(insns);
             }
         }

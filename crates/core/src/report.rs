@@ -387,21 +387,18 @@ pub fn render_kernel_sizes_json(rows: &[KernelSize]) -> String {
 }
 
 /// One kernel's deterministic selection-work profile on one target — the
-/// row format of `BENCH_compile.json`, the artifact the CI perf gate
-/// diffs against `tests/golden/bench_baseline.json`.
+/// row format of `BENCH_compile.json`.
 ///
-/// Wall time (`wall_us`) is reported for humans but never gated; every
-/// other field is a deterministic counter, identical across machines for
-/// the same source tree, so a >5 % regression is a real algorithmic
-/// change and not scheduler noise.
+/// Every field is a deterministic counter, identical across machines for
+/// the same source tree, so the rendered document is compared byte for
+/// byte against `tests/golden/bench_baseline.json`. Compile time is
+/// measured by the `perfbench` benchmark, not here.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelBench {
     /// Kernel name.
     pub kernel: &'static str,
     /// Target the kernel was compiled for.
     pub target: String,
-    /// End-to-end compile wall time in microseconds (informational only).
-    pub wall_us: f64,
     /// The selection work counters of the compile.
     pub select: SelectStats,
     /// Instructions in the compiled code (bundles count once).
@@ -411,8 +408,8 @@ pub struct KernelBench {
 }
 
 /// Compiles every DSPStone kernel for both bundled targets through
-/// `session` and reports per-kernel wall time plus the deterministic
-/// selection-work counters.
+/// `session` and reports the per-kernel deterministic selection-work
+/// counters and code size.
 ///
 /// Kernels are compiled sequentially (not batched) so each row's
 /// [`PhaseTimings`] — and therefore its counters —
@@ -431,7 +428,6 @@ pub fn kernel_bench_report(session: &Session) -> Result<Vec<KernelBench>, Compil
             out.push(KernelBench {
                 kernel: kernel.name,
                 target: target.name.clone(),
-                wall_us: t.total.as_secs_f64() * 1e6,
                 select,
                 insns: code.insns.len(),
                 words: code.size_words(),
@@ -442,40 +438,35 @@ pub fn kernel_bench_report(session: &Session) -> Result<Vec<KernelBench>, Compil
 }
 
 /// Renders [`kernel_bench_report`] rows as the `BENCH_compile.json`
-/// document: `{"schema": "record-bench/v1", "kernels": [{…}, …]}`.
+/// document: `{"schema": "record-bench/v1", "kernels": [{…}, …]}`, one
+/// row per line so a `diff` against the committed baseline names the
+/// kernel that moved.
 pub fn render_kernel_bench_json(rows: &[KernelBench]) -> String {
     use record_trace::json;
-    let mut out = String::from("{\"schema\":\"record-bench/v1\",\"kernels\":[");
+    let mut out = String::from("{\"schema\":\"record-bench/v1\",\"kernels\":[\n");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push_str(",\n");
         }
         out.push_str("{\"kernel\":");
         json::push_str_lit(&mut out, r.kernel);
         out.push_str(",\"target\":");
         json::push_str_lit(&mut out, &r.target);
-        out.push_str(",\"wall_us\":");
-        json::push_f64(&mut out, r.wall_us);
         for (name, value) in r.select.counters() {
             out.push_str(&format!(",\"{name}\":{value}"));
         }
         out.push_str(&format!(",\"insns\":{},\"words\":{}", r.insns, r.words));
         out.push('}');
     }
-    out.push_str("]}\n");
+    out.push_str("\n]}\n");
     out
 }
 
 /// Renders a [`Session`]'s compile-cache counters as the
-/// `record-cache/v1` JSON document the CI cold-vs-warm step uploads and
-/// the perf gate diffs (via `perf_gate --cache-current`):
+/// `record-cache/v1` JSON document the CI cold-vs-warm step uploads:
 /// `{"schema": "record-cache/v1", "code_hits": …, "code_misses": …,
 /// "code_evictions": …, "code_corruptions": …, "tables_loaded": …,
 /// "compiles": …}`.
-///
-/// Every field is deterministic for a fixed compile sequence, so the
-/// gate treats misses/evictions/corruptions as work (must not rise) and
-/// hits/table-loads as savings (must not fall).
 pub fn render_cache_stats_json(stats: &SessionStats) -> String {
     format!(
         "{{\"schema\":\"record-cache/v1\",\"code_hits\":{},\"code_misses\":{},\

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use record_burg::{CoverNode, CutSet, LabelCache, Matcher, Operand, Tables, SHARED_RULE};
 use record_ir::transform::{variants, RuleSet, VariantStream};
-use record_ir::{fold, AssignStmt, BlockDag, Symbol, Tree, TreePool};
+use record_ir::{AssignStmt, BlockDag, Symbol, Tree, TreePool};
 use record_isa::{
     Cost, Insn, InsnKind, Loc, MemLoc, NonTermId, NonTermKind, PatNode, RegId, Rhs, SemExpr,
     TargetDesc,
@@ -32,8 +32,8 @@ use crate::CompileError;
 select_counters!(counter_struct! {
     /// Selection statistics of a statement, a block or a whole pass
     /// (summed with [`SelectCounters::add_counters`]). Every counter is
-    /// exact and platform-independent; the perf gate tracks them in
-    /// `BENCH_compile.json`.
+    /// exact and platform-independent; `tests/golden/bench_baseline.json`
+    /// pins them per DSPStone kernel.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct SelectStats {}
 });
@@ -184,9 +184,7 @@ impl<'t> Emitter<'t> {
 
     /// Selects and emits one assignment.
     ///
-    /// `rules`/`variant_limit` control the algebraic enumeration;
-    /// `fold_constants` applies [`record_ir::fold`] first (off in the
-    /// paper's configuration).
+    /// `rules`/`variant_limit` control the algebraic enumeration.
     ///
     /// # Errors
     ///
@@ -197,7 +195,6 @@ impl<'t> Emitter<'t> {
         stmt: &AssignStmt,
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
         let mut total_stats = SelectStats::default();
         let mut out = Vec::new();
@@ -205,7 +202,7 @@ impl<'t> Emitter<'t> {
         // verification is split at an operand boundary and re-tried.
         let mut work: Vec<AssignStmt> = vec![stmt.clone()];
         while let Some(cur) = work.pop() {
-            let (insns, stats) = self.emit_one(&cur, rules, variant_limit, fold_constants)?;
+            let (insns, stats) = self.emit_one(&cur, rules, variant_limit)?;
             total_stats.add_counters(&stats);
             if self.verify_statement(&cur, &insns) {
                 out.extend(insns);
@@ -241,14 +238,13 @@ impl<'t> Emitter<'t> {
         stmts: &[AssignStmt],
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
         budget: &SelectBudget<'_>,
         stats: &mut SelectStats,
     ) -> Result<Vec<Vec<Insn>>, CompileError> {
         let mut runs = Vec::with_capacity(stmts.len());
         for stmt in stmts {
             let limit = budget.limit(variant_limit, stats.variants);
-            let (insns, one) = self.emit_assign(stmt, rules, limit, fold_constants)?;
+            let (insns, one) = self.emit_assign(stmt, rules, limit)?;
             stats.add_counters(&one);
             budget.charge(one.variants, stats.variants)?;
             runs.push(insns);
@@ -294,33 +290,18 @@ impl<'t> Emitter<'t> {
         stmts: &[AssignStmt],
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
         budget: &SelectBudget<'_>,
         stats: &mut SelectStats,
     ) -> Result<Vec<Insn>, CompileError> {
         // Stage A: verified per-statement baseline (also the fallback).
-        let baseline =
-            self.emit_statements(stmts, rules, variant_limit, fold_constants, budget, stats)?;
+        let baseline = self.emit_statements(stmts, rules, variant_limit, budget, stats)?;
         let flatten =
             |b: &[Vec<Insn>]| b.iter().flat_map(|v| v.iter().cloned()).collect::<Vec<Insn>>();
 
-        // Stage B: DAG analysis over the trees selection actually sees.
-        let analyzed: Vec<AssignStmt>;
-        let analyzed: &[AssignStmt] = if fold_constants {
-            analyzed = stmts
-                .iter()
-                .map(|s| AssignStmt {
-                    dst: s.dst.clone(),
-                    src: fold::fold(&s.src, self.target.word_width),
-                })
-                .collect();
-            &analyzed
-        } else {
-            stmts
-        };
+        // Stage B: DAG analysis.
         let pool_len0 = self.pool.len() as u64;
         let dedup0 = self.pool.dedup_hits();
-        let dag = BlockDag::build(&mut self.pool, analyzed);
+        let dag = BlockDag::build(&mut self.pool, stmts);
         stats.interned_nodes += self.pool.len() as u64 - pool_len0;
         stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.shared_subtrees += dag.shared.len() as u64;
@@ -429,16 +410,8 @@ impl<'t> Emitter<'t> {
         let snap_cursor = self.reg_cursor.clone();
         let snap_pool = self.scratch_pool.clone();
         let snap_free = self.scratch_free.clone();
-        let attempt = self.emit_block_cuts(
-            analyzed,
-            &dag,
-            &accepted,
-            &baseline,
-            rules,
-            variant_limit,
-            fold_constants,
-            stats,
-        );
+        let attempt =
+            self.emit_block_cuts(stmts, &dag, &accepted, &baseline, rules, variant_limit, stats);
         self.release_held();
         match attempt {
             Ok(Some(out)) => {
@@ -470,7 +443,6 @@ impl<'t> Emitter<'t> {
         baseline: &[Vec<Insn>],
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
         stats: &mut SelectStats,
     ) -> Result<Option<Vec<Insn>>, CompileError> {
         self.shared_locs = vec![None; accepted.len()];
@@ -563,8 +535,7 @@ impl<'t> Emitter<'t> {
                 None => {
                     // re-emit from scratch: the baseline may have used a
                     // register that now holds a parked value
-                    let (insns, st) =
-                        self.emit_assign(stmt, rules, variant_limit, fold_constants)?;
+                    let (insns, st) = self.emit_assign(stmt, rules, variant_limit)?;
                     stats.add_counters(&st);
                     out.extend(insns);
                 }
@@ -737,17 +708,8 @@ impl<'t> Emitter<'t> {
         stmt: &AssignStmt,
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
         let mut stats = SelectStats::default();
-        // borrow the source tree unless folding actually rewrites it
-        let folded;
-        let base: &Tree = if fold_constants {
-            folded = fold::fold(&stmt.src, self.target.word_width);
-            &folded
-        } else {
-            &stmt.src
-        };
         if self.candidates.is_empty() {
             return Err(CompileError::Target(crate::TargetError::NoStoreRules {
                 target: self.target.name.to_string(),
@@ -755,9 +717,9 @@ impl<'t> Emitter<'t> {
         }
 
         let best = if self.reference {
-            self.find_best_reference(base, rules, variant_limit, &mut stats)
+            self.find_best_reference(&stmt.src, rules, variant_limit, &mut stats)
         } else {
-            self.find_best_interned(base, rules, variant_limit, &mut stats)
+            self.find_best_interned(&stmt.src, rules, variant_limit, &mut stats)
         };
         let Some((store_ix, cover)) = best else {
             return Err(CompileError::Uncoverable {
@@ -1161,7 +1123,7 @@ mod tests {
                 Tree::bin(BinOp::Mul, Tree::var("c"), Tree::var("x")),
             ),
         );
-        let (insns, stats) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).expect("coverable");
+        let (insns, stats) = e.emit_assign(&stmt, &RuleSet::none(), 1).expect("coverable");
         assert_eq!(texts(&insns), vec!["LAC y", "LT c", "MPY x", "APAC", "SACL y"],);
         assert_eq!(stats.variants, 1);
     }
@@ -1175,10 +1137,10 @@ mod tests {
         // multiplier input (6 words); the mul-to-shift variant covers the
         // whole thing with one load-with-shift (2 words).
         let stmt = assign("y", Tree::bin(BinOp::Mul, Tree::constant(2), Tree::var("x")));
-        let (no_variants, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (no_variants, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let words = |v: &[Insn]| v.iter().map(|i| i.words).sum::<u32>();
         assert_eq!(words(&no_variants), 6, "{:?}", texts(&no_variants));
-        let (with_variants, stats) = e.emit_assign(&stmt, &RuleSet::all(), 32, false).unwrap();
+        let (with_variants, stats) = e.emit_assign(&stmt, &RuleSet::all(), 32).unwrap();
         assert!(stats.variants > 1);
         assert_eq!(texts(&with_variants), vec!["LAC x,1", "SACL y"]);
     }
@@ -1196,7 +1158,7 @@ mod tests {
                 Tree::bin(BinOp::Add, Tree::var("c"), Tree::var("d")),
             ),
         );
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert!(texts(&insns).iter().any(|t| t.starts_with("SACL $s")), "{:?}", texts(&insns));
         assert!(!e.scratch_symbols().is_empty());
     }
@@ -1215,9 +1177,9 @@ mod tests {
                 ),
             )
         };
-        e.emit_assign(&spilly("y"), &RuleSet::none(), 1, false).unwrap();
+        e.emit_assign(&spilly("y"), &RuleSet::none(), 1).unwrap();
         let n1 = e.scratch_symbols().len();
-        e.emit_assign(&spilly("z"), &RuleSet::none(), 1, false).unwrap();
+        e.emit_assign(&spilly("z"), &RuleSet::none(), 1).unwrap();
         assert_eq!(e.scratch_symbols().len(), n1, "pool reused");
     }
 
@@ -1233,7 +1195,7 @@ mod tests {
                 Tree::bin(BinOp::Sub, Tree::var("c"), Tree::var("d")),
             ),
         );
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         // loads into distinct registers, computes, stores
         let t0 = texts(&insns);
         assert!(t0.iter().any(|s| s.starts_with("LW r0,")), "{t0:?}");
@@ -1260,7 +1222,7 @@ mod tests {
                 ),
             ),
         );
-        let err = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap_err();
+        let err = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap_err();
         assert!(matches!(err, CompileError::OutOfRegisters { .. }), "{err}");
     }
 
@@ -1270,7 +1232,7 @@ mod tests {
         let mut e = Emitter::new(&t);
         // the C25 model has no division instruction
         let stmt = assign("y", Tree::bin(BinOp::Div, Tree::var("a"), Tree::var("b")));
-        let err = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap_err();
+        let err = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap_err();
         match err {
             CompileError::Uncoverable { stmt, target } => {
                 assert!(stmt.contains("/"));
@@ -1282,14 +1244,15 @@ mod tests {
 
     #[test]
     fn constant_folding_is_optional() {
-        let t = record_isa::targets::tic25::target();
-        let mut e = Emitter::new(&t);
-        let stmt = assign("y", Tree::bin(BinOp::Add, Tree::constant(2), Tree::constant(3)));
-        let (unfolded, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
-        let (folded, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, true).unwrap();
-        let words = |v: &[Insn]| v.iter().map(|i| i.words).sum::<u32>();
-        assert!(words(&folded) <= words(&unfolded));
-        assert!(texts(&folded).contains(&"LACK 5".to_string()));
+        let compiler = crate::Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
+        let lir = record_ir::lower::lower(
+            &record_ir::dfl::parse("program k; out y: fix; begin y := 2 + 3; end").unwrap(),
+        )
+        .unwrap();
+        let unfolded = compiler.compile(&lir, &crate::PassPlan::o2()).unwrap();
+        let folded = compiler.compile(&lir, &crate::PassPlan::o2().folding()).unwrap();
+        assert!(folded.size_words() <= unfolded.size_words());
+        assert!(folded.render().contains("LACK 5"), "{}", folded.render());
     }
 
     #[test]
@@ -1297,7 +1260,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         let stmt = assign("y", Tree::bin(BinOp::SatAdd, Tree::var("y"), Tree::var("x")));
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let ovm = t.mode("ovm").unwrap();
         assert!(insns.iter().any(|i| i.mode_req == Some((ovm, true))));
     }
@@ -1307,7 +1270,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         let stmt = assign("y", Tree::bin(BinOp::Add, Tree::var("y"), Tree::var("x")));
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let ovm = t.mode("ovm").unwrap();
         assert!(insns.iter().any(|i| i.mode_req == Some((ovm, false))));
     }
@@ -1325,12 +1288,12 @@ mod tests {
             ),
         );
         // raw emission (no verify loop)
-        let (insns, _) = e.emit_one(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_one(&stmt, &RuleSet::none(), 1).unwrap();
         let ok = e.verify_statement(&stmt, &insns);
         // the naive cover clobbers the accumulator; the verifier must say no
         assert!(!ok, "{:?}", texts(&insns));
         // and the public entry point must produce correct code
-        let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert!(e.verify_statement(&stmt, &fixed), "{:?}", texts(&fixed));
     }
 
@@ -1339,7 +1302,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         let stmt = assign("y", Tree::bin(BinOp::Add, Tree::temp("$t0"), Tree::var("x")));
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert_eq!(texts(&insns)[0], "LAC $t0");
     }
 
@@ -1363,7 +1326,7 @@ mod tests {
         limit: usize,
         stats: &mut SelectStats,
     ) -> Vec<Insn> {
-        e.emit_block(stmts, rules, limit, false, &SelectBudget::default(), stats).unwrap()
+        e.emit_block(stmts, rules, limit, &SelectBudget::default(), stats).unwrap()
     }
 
     #[test]
@@ -1376,7 +1339,7 @@ mod tests {
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
         for s in &stmts {
-            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32, false).unwrap();
+            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
@@ -1400,7 +1363,7 @@ mod tests {
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
         for s in &stmts {
-            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32, false).unwrap();
+            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
@@ -1422,7 +1385,7 @@ mod tests {
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
         for s in &stmts {
-            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::none(), 1, false).unwrap();
+            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::none(), 1).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);

@@ -11,8 +11,8 @@
 //! Every struct that carries them ([`SelectStats`](crate::select::SelectStats),
 //! [`CompilationUnit`](crate::CompilationUnit), [`PhaseTimings`]) gets
 //! its counter fields and its [`SelectCounters`] impl from that list,
-//! and every exporter (span attributes, `/metrics`, `BENCH_compile.json`,
-//! the perf gate) walks [`COUNTERS`] or [`SelectCounters::counters`].
+//! and every exporter (span attributes, `/metrics`, `BENCH_compile.json`)
+//! walks [`COUNTERS`] or [`SelectCounters::counters`].
 
 use std::fmt;
 use std::time::Duration;
@@ -20,27 +20,26 @@ use std::time::Duration;
 use record_isa::{Code, InsnKind, Loc};
 
 /// Hands the selection work counters to `$callback`, after its own
-/// tokens: one `name: Direction, "doc";` entry per counter, in report
-/// order. This is the only place the counter set is written down —
-/// adding an entry here adds the field to every counter struct, the
-/// span attribute, the `record_<name>_total` series, the
-/// `BENCH_compile.json` key and the perf-gate check.
+/// tokens: one `name: "doc";` entry per counter, in report order. This
+/// is the only place the counter set is written down — adding an entry
+/// here adds the field to every counter struct, the span attribute, the
+/// `record_<name>_total` series and the `BENCH_compile.json` key.
 macro_rules! select_counters {
     ($callback:ident! { $($head:tt)* }) => {
         $callback! {
             { $($head)* }
-            statements: Work, "Statements selected (after tree decomposition).";
-            variants: Work, "Tree variants enumerated across all statements.";
-            covered: Work, "Variants that produced a legal cover.";
-            interned_nodes: Work, "Distinct tree nodes interned by the hash-consing pool.";
-            dedup_hits: Savings, "Node constructions answered by the pool (allocation avoided).";
-            labels_computed: Work, "BURS label states computed from scratch.";
-            labels_memoized: Savings, "BURS labellings answered from the memo cache.";
-            variants_pruned: Savings, "Variants skipped by the cost-floor cutoff or a search cap.";
-            search_steps: Work, "Candidate rewrites generated; what `max_search_steps` caps.";
-            shared_subtrees: Savings, "Soundly shareable multi-use subtrees in the block DAG.";
-            shares_taken: Savings, "DAG sharing candidates computed once into a parked register.";
-            recomputes_chosen: Work, "DAG sharing candidates recomputed at every use instead.";
+            statements: "Statements selected (after tree decomposition).";
+            variants: "Tree variants enumerated across all statements.";
+            covered: "Variants that produced a legal cover.";
+            interned_nodes: "Distinct tree nodes interned by the hash-consing pool.";
+            dedup_hits: "Node constructions answered by the pool (allocation avoided).";
+            labels_computed: "BURS label states computed from scratch.";
+            labels_memoized: "BURS labellings answered from the memo cache.";
+            variants_pruned: "Variants skipped by the cost-floor cutoff or a search cap.";
+            search_steps: "Candidate rewrites generated; what `max_search_steps` caps.";
+            shared_subtrees: "Soundly shareable multi-use subtrees in the block DAG.";
+            shares_taken: "DAG sharing candidates computed once into a parked register.";
+            recomputes_chosen: "DAG sharing candidates recomputed at every use instead.";
         }
     };
 }
@@ -52,7 +51,7 @@ pub(crate) use select_counters;
 macro_rules! counter_struct {
     (
         { $(#[$attr:meta])* $vis:vis struct $name:ident $(<$lt:lifetime>)? { $($fields:tt)* } }
-        $($counter:ident: $dir:ident, $doc:literal;)*
+        $($counter:ident: $doc:literal;)*
     ) => {
         $(#[$attr])*
         $vis struct $name $(<$lt>)? {
@@ -76,7 +75,7 @@ pub(crate) use counter_struct;
 /// `select_counters!` callback: the struct expression `Name { fields }`
 /// with every counter field set to zero.
 macro_rules! zero_counters {
-    ({ $name:ident { $($fields:tt)* } } $($counter:ident: $dir:ident, $doc:literal;)*) => {
+    ({ $name:ident { $($fields:tt)* } } $($counter:ident: $doc:literal;)*) => {
         $name { $($fields)* $($counter: 0,)* }
     };
 }
@@ -84,26 +83,16 @@ pub(crate) use zero_counters;
 
 /// `select_counters!` callback: the [`COUNTERS`] table.
 macro_rules! counter_table {
-    ({} $($counter:ident: $dir:ident, $doc:literal;)*) => {
+    ({} $($counter:ident: $doc:literal;)*) => {
         /// Every selection work counter, in report order.
         pub const COUNTERS: [Counter; [$(stringify!($counter)),*].len()] = [$(Counter {
             name: stringify!($counter),
             metric: concat!("record_", stringify!($counter), "_total"),
-            direction: Direction::$dir,
         }),*];
     };
 }
 
 select_counters!(counter_table! {});
-
-/// Which way a counter moves when the compiler does worse.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Work done: a regression makes it rise.
-    Work,
-    /// Work avoided: a regression makes it fall.
-    Savings,
-}
 
 /// One selection work counter of [`COUNTERS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,8 +102,6 @@ pub struct Counter {
     pub name: &'static str,
     /// The metrics series, `record_<name>_total`.
     pub metric: &'static str,
-    /// Which way the counter regresses.
-    pub direction: Direction,
 }
 
 /// A struct carrying every counter of [`COUNTERS`] as a named `u64`

@@ -158,14 +158,18 @@ pub fn build(params: &AsipParams) -> TargetDesc {
             &format!("{opname} {{d}},{{1}}"),
             Cost::new(1, 1),
         );
-        b.with_units(rule, units::ALU).mode_sensitive(rule);
+        b.with_units(rule, units::ALU);
         let rule_rr = b.pat(
             r,
             PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::nt(r)]),
             &format!("{opname}R {{d}},{{1}}"),
             Cost::new(1, 1),
         );
-        b.with_units(rule_rr, units::ALU).mode_sensitive(rule_rr);
+        b.with_units(rule_rr, units::ALU);
+        // the saturation mode changes only what ADD/SUB compute
+        if matches!(op, BinOp::Add | BinOp::Sub) {
+            b.mode_sensitive(rule).mode_sensitive(rule_rr);
+        }
     }
     let addi = b.pat(
         r,

@@ -256,7 +256,7 @@ impl Service {
             self.handle_line_inner(line, &rid, &mut rec, &mut record)
         }))
         .unwrap_or_else(|payload| {
-            let message = panic_text(payload.as_ref());
+            let message = record::panic_message(payload.as_ref());
             let code =
                 if message.contains(FAULT_MARKER) { codes::INJECTED } else { codes::INTERNAL };
             Reply { code, line: protocol::error_response("", &rid, code, &message) }
@@ -512,16 +512,6 @@ fn clip(s: &str) -> &str {
         end -= 1;
     }
     &s[..end]
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 /// What a completed serve lifecycle did, for the drain summary.

@@ -98,8 +98,8 @@ pub fn validate_jsonl(s: &str) -> Result<(), JsonError> {
     Ok(())
 }
 
-/// A parsed JSON value — the minimal tree the perf-gate tooling needs to
-/// diff two benchmark documents without a serde dependency.
+/// A parsed JSON value — the minimal tree the wire protocol, the
+/// benchmark and the tests need to read JSON without a serde dependency.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.

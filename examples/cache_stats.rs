@@ -3,16 +3,16 @@
 //! Sweeps the ten DSPStone kernels over both shipped targets under the
 //! `O2` and `O0` pass plans — twice, with fresh [`Session`]s sharing one
 //! cache directory — and reports the session cache counters as the
-//! `record-cache/v1` JSON document the CI perf gate diffs (see
-//! `perf_gate --cache-current`).
+//! `record-cache/v1` JSON document CI archives.
 //!
 //! The second sweep must be answered entirely from the cache (the
 //! example exits nonzero otherwise): fresh sessions have cold memory, so
-//! every one of its 40 compiles is a disk hit and every BURS table set
-//! is loaded instead of generated. Run the example twice against the
-//! same `--dir` — CI runs the second invocation with
-//! `--expect-warm-start` — and even the *first* sweep of the second
-//! process warm-starts from the files the first process left behind:
+//! every one of its 40 compiles is a disk hit, all four BURS table sets
+//! (2 plans × 2 targets) are loaded instead of generated, and nothing is
+//! evicted or found corrupt. Run the example twice against the same
+//! `--dir` — CI runs the second invocation with `--expect-warm-start` —
+//! and even the *first* sweep of the second process must pass the same
+//! checks, warm-starting from the files the first process left behind:
 //! the cross-process analogue of iburg-style offline table generation.
 //!
 //! ```sh
@@ -25,8 +25,8 @@
 //!
 //! * `--dir PATH` — cache directory shared by every session (required)
 //! * `--json PATH` — write the `record-cache/v1` counter document
-//! * `--expect-warm-start` — assert the first sweep is already fully
-//!   cached (a previous process populated `--dir`)
+//! * `--expect-warm-start` — check the first sweep like the second: a
+//!   previous process populated `--dir`
 
 use record::{PassPlan, Session, SessionStats};
 
@@ -84,6 +84,33 @@ fn sweep(dir: &str) -> Result<Totals, Box<dyn std::error::Error>> {
     Ok(totals)
 }
 
+/// BURS table sets a sweep loads from a warm directory: one per session
+/// (plan) and target.
+const TABLE_SETS: u64 = 4;
+
+/// Checks that `sweep` was answered entirely from the cache directory.
+fn check_warm(what: &str, sweep: &Totals) -> Result<(), String> {
+    if sweep.code_hits != sweep.compiles as u64 {
+        return Err(format!(
+            "{what}: {} of {} compiles hit the cache ({} misses)",
+            sweep.code_hits, sweep.compiles, sweep.code_misses
+        ));
+    }
+    if sweep.tables_loaded != TABLE_SETS {
+        return Err(format!(
+            "{what}: loaded {} BURS table sets from disk, expected {TABLE_SETS}",
+            sweep.tables_loaded
+        ));
+    }
+    if sweep.code_evictions + sweep.code_corruptions > 0 {
+        return Err(format!(
+            "{what}: {} eviction(s), {} corruption(s)",
+            sweep.code_evictions, sweep.code_corruptions
+        ));
+    }
+    Ok(())
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut dir: Option<String> = None;
     let mut json_path: Option<String> = None;
@@ -106,17 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         first.compiles, first.code_hits, first.code_misses, first.tables_loaded
     );
     if expect_warm_start {
-        if first.code_misses > 0 {
-            return Err(format!(
-                "--expect-warm-start: first sweep had {} miss(es); \
-                 the cache directory was not warm",
-                first.code_misses
-            )
-            .into());
-        }
-        if first.tables_loaded == 0 {
-            return Err("--expect-warm-start: no BURS tables were loaded from disk".into());
-        }
+        check_warm("--expect-warm-start: first sweep", &first)?;
         println!("warm start confirmed: all compiles cached, all tables loaded from disk");
     }
 
@@ -125,13 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sweep 2: {} compiles, {} hits, {} misses, {} tables loaded",
         second.compiles, second.code_hits, second.code_misses, second.tables_loaded
     );
-    if second.code_misses > 0 {
-        return Err(format!(
-            "repeat sweep missed {} time(s); the cache failed to answer identical compiles",
-            second.code_misses
-        )
-        .into());
-    }
+    check_warm("repeat sweep", &second)?;
 
     let mut totals = first;
     totals.absorb(&second.as_stats());

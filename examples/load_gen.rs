@@ -17,7 +17,8 @@
 //!   `injected`, which is allowed),
 //! * client-observed `overloaded` responses never exceed the server's
 //!   `recordd_shed_total` counter,
-//! * p99 latency of successful compiles stays under `--p99-bound-ms`.
+//! * the p50 and p99 latency of successful compiles stay under
+//!   [`P50_BOUND_US`] and [`P99_BOUND_US`].
 //!
 //! ```text
 //! cargo run --release --example load_gen -- \
@@ -38,10 +39,19 @@ use record_trace::metrics::Histogram;
 
 const TARGETS: &[&str] = &["tic25", "dsp56k", "risc8"];
 
+/// Absolute bound on the p50 compile latency (µs). Wall-clock, so it is
+/// generous: it catches a stalled or serialised daemon, not a slowdown,
+/// which the `perfbench` benchmark measures.
+const P50_BOUND_US: f64 = 2_000_000.0;
+
+/// Absolute bound on the p99 compile latency (µs), generous like
+/// [`P50_BOUND_US`].
+const P99_BOUND_US: f64 = 5_000_000.0;
+
 /// Latency histogram bounds (µs) for the quantile estimates. The top
-/// finite bound sits well above any sane `--p99-bound-ms`, because the
-/// estimator reports the *last finite bound* for samples in the +Inf
-/// bucket — bounds that stopped at the gate would silently pass it.
+/// finite bound sits well above [`P99_BOUND_US`], because the estimator
+/// reports the *last finite bound* for samples in the +Inf bucket —
+/// bounds that stopped at the gate would silently pass it.
 const LATENCY_BOUNDS_US: &[f64] = &[
     100.0,
     250.0,
@@ -102,7 +112,6 @@ struct Opts {
     seed: u64,
     hostile: bool,
     loris_ms: u64,
-    p99_bound_ms: u64,
     json_path: Option<String>,
 }
 
@@ -126,7 +135,6 @@ fn parse_opts() -> Opts {
         seed: 0xDAC97,
         hostile: true,
         loris_ms: 1_500,
-        p99_bound_ms: 5_000,
         json_path: None,
     };
     let mut args = std::env::args().skip(1);
@@ -144,7 +152,6 @@ fn parse_opts() -> Opts {
             "--seed" => opts.seed = parse_u64(&value()),
             "--hostile" | "--faults" => opts.hostile = value() != "off",
             "--loris-ms" => opts.loris_ms = parse_u64(&value()),
-            "--p99-bound-ms" => opts.p99_bound_ms = parse_u64(&value()).max(1),
             "--json" => opts.json_path = Some(value()),
             other => {
                 eprintln!("unknown option `{other}`");
@@ -488,8 +495,10 @@ fn main() -> ExitCode {
         None => failures.push("could not scrape /metrics for shed accounting".into()),
         _ => {}
     }
-    if p99 > (opts.p99_bound_ms * 1_000) as f64 {
-        failures.push(format!("p99 {p99:.0}us exceeds bound {}ms", opts.p99_bound_ms));
+    for (name, got, bound) in [("p50", p50, P50_BOUND_US), ("p99", p99, P99_BOUND_US)] {
+        if got > bound {
+            failures.push(format!("{name} {got:.0}us exceeds bound {bound:.0}us"));
+        }
     }
 
     if let Some(path) = &opts.json_path {

@@ -178,12 +178,8 @@ fn real_main() -> Result<(), String> {
     let hook_trace_out = args.trace_out.clone();
     std::panic::set_hook(Box::new(move |info| {
         eprintln!("recordd: caught panic: {info}");
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .is_some_and(|m| m.contains(record_serve::faults::FAULT_MARKER));
+        let injected =
+            record::panic_message(info.payload()).contains(record_serve::faults::FAULT_MARKER);
         if !injected {
             if let Some(path) = &hook_trace_out {
                 let _ = std::fs::write(path, hook_service.flight().render_chrome_trace());

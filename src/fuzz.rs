@@ -162,14 +162,7 @@ pub fn check_frontend(source: &str) -> Result<bool, String> {
         Ok(ast) => record_ir::lower::lower(&ast).is_ok(),
         Err(_) => false,
     });
-    outcome.map_err(|payload| {
-        payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("<non-string panic>")
-            .to_string()
-    })
+    outcome.map_err(|payload| record::panic_message(payload.as_ref()))
 }
 
 /// Runs `f` with the panic hook silenced, restoring it afterwards.

@@ -11,13 +11,16 @@
 //!   so fuzz-found bugs stay fixed without re-fuzzing.
 //! * **Sweep smoke** — a small seeded target-fuzz run ends with zero
 //!   failures and a well-formed JSON survival report.
+//! * **ASIP corner** — `asip::build` and the cube's homogeneous corner
+//!   build the same target for every ASIP preset, so the two grammars
+//!   cannot drift apart.
 
 use std::collections::HashMap;
 use std::path::Path;
 
-use record::Compiler;
+use record::{Compiler, PassPlan};
 use record_isa::cube::CubeParams;
-use record_isa::targets::asip::AsipParams;
+use record_isa::targets::asip::{self, AsipParams};
 use record_repro::fuzz;
 
 #[test]
@@ -43,8 +46,39 @@ fn asip_presets_embed_into_the_cube() {
     ] {
         let cube = CubeParams::from_asip(&p);
         assert_eq!(cube.validate(), Ok(()), "asip preset {name}");
-        let target = cube.build().unwrap_or_else(|e| panic!("asip preset {name}: {e}"));
+        let mut target = cube.build().unwrap_or_else(|e| panic!("asip preset {name}: {e}"));
+        let generated = asip::build(&p);
+        target.name = generated.name.clone();
+        assert_eq!(target, generated, "asip preset {name}: the cube corner differs");
         assert!(Compiler::for_target(target).is_ok(), "asip preset {name}");
+    }
+}
+
+/// Saturation changes only what ADD/SUB compute, so a logic operation
+/// between two saturating adds must not switch the mode off and on.
+#[test]
+fn asip_logic_ops_keep_the_saturation_mode() {
+    let source = "program logic_between_sat;
+        in a, b: fix;
+        out y, z, w: fix;
+        begin
+          y := sadd(a, b);
+          z := a & b;
+          w := sadd(y, a);
+        end";
+    let target = asip::build(&AsipParams::dsp());
+    let lir = record_ir::lower::lower(&record_ir::dfl::parse(source).unwrap()).unwrap();
+    let code =
+        Compiler::for_target(target.clone()).unwrap().compile(&lir, &PassPlan::o2()).unwrap();
+    let listing = code.render();
+    assert_eq!(code.size_words(), 9, "{listing}");
+    assert_eq!(listing.matches("SSAT").count(), 1, "{listing}");
+    assert!(!listing.contains("RSAT"), "{listing}");
+
+    let inputs = HashMap::from([("a".into(), vec![30_000]), ("b".into(), vec![30_000])]);
+    let (out, _) = record_sim::run_program(&code, &target, &inputs).unwrap();
+    for (name, want) in [("y", 32_767), ("z", 30_000), ("w", 32_767)] {
+        assert_eq!(out[&name.into()], vec![want], "{name}\n{listing}");
     }
 }
 

@@ -9,7 +9,7 @@
 //! enumerate-then-cover selector alive, and every kernel is compiled
 //! through both selectors and compared on rendered assembly.
 
-use record::{reference_select_pass, select_pass, Compiler, PassPlan, SelectCounters, Session};
+use record::{reference_select_pass, select_pass, Compiler, PassPlan, Session};
 use record_burg::{LabelCache, Matcher};
 use record_ir::transform::{variants, variants_interned, RuleSet};
 use record_ir::{BinOp, Tree, TreePool, UnOp};
@@ -63,20 +63,43 @@ fn structural_equality_is_id_equality() {
     });
 }
 
+/// `cr + ar*br - ai*bi`, a typical Table 1 statement: the fixed input
+/// the two generated-tree checks below also run at limits 1/8/32/128.
+fn statement_tree() -> Tree {
+    Tree::bin(
+        BinOp::Sub,
+        Tree::bin(
+            BinOp::Add,
+            Tree::var("cr"),
+            Tree::bin(BinOp::Mul, Tree::var("ar"), Tree::var("br")),
+        ),
+        Tree::bin(BinOp::Mul, Tree::var("ai"), Tree::var("bi")),
+    )
+}
+
+const STATEMENT_LIMITS: [usize; 4] = [1, 8, 32, 128];
+
+fn assert_streamed_matches_boxed(tree: &Tree, rules: &RuleSet, limit: usize) {
+    let boxed = variants(tree, rules, limit);
+    let mut pool = TreePool::new();
+    let ids = variants_interned(&mut pool, tree, rules, limit);
+    assert_eq!(boxed.len(), ids.len(), "limit {limit}: variant count diverged on {tree:?}");
+    for (v, &id) in boxed.iter().zip(&ids) {
+        assert_eq!(pool.to_tree(id), *v, "variant order or content diverged");
+    }
+}
+
 #[test]
 fn streamed_variants_match_boxed_enumeration_on_generated_trees() {
+    for limit in STATEMENT_LIMITS {
+        assert_streamed_matches_boxed(&statement_tree(), &RuleSet::all(), limit);
+    }
     run_cases(120, |rng| {
         let tree = gen_tree(rng, 3);
         let commute_only = RuleSet { commutativity: true, ..RuleSet::none() };
         let rules = *rng.pick(&[RuleSet::all(), commute_only, RuleSet::none()]);
         let limit = *rng.pick(&[1usize, 4, 16, 64]);
-        let boxed = variants(&tree, &rules, limit);
-        let mut pool = TreePool::new();
-        let ids = variants_interned(&mut pool, &tree, &rules, limit);
-        assert_eq!(boxed.len(), ids.len());
-        for (v, &id) in boxed.iter().zip(&ids) {
-            assert_eq!(pool.to_tree(id), *v, "variant order or content diverged");
-        }
+        assert_streamed_matches_boxed(&tree, &rules, limit);
     });
 }
 
@@ -87,10 +110,9 @@ fn interned_covers_agree_with_boxed_covers_on_generated_trees() {
     let acc = target.nt("acc").unwrap();
     let mut cache = LabelCache::new();
     let mut pool = TreePool::new();
-    run_cases(150, |rng| {
-        let tree = gen_tree(rng, 3);
-        let id = pool.intern(&tree);
-        let reference = matcher.cover(&tree, acc);
+    let mut check = |tree: &Tree| {
+        let id = pool.intern(tree);
+        let reference = matcher.cover(tree, acc);
         let interned = matcher.cover_interned(&pool, id, &mut cache, acc);
         match (&reference, &interned) {
             (None, None) => {}
@@ -100,7 +122,11 @@ fn interned_covers_agree_with_boxed_covers_on_generated_trees() {
             }
             _ => panic!("coverability diverged on {tree:?}"),
         }
-    });
+    };
+    for limit in STATEMENT_LIMITS {
+        variants(&statement_tree(), &RuleSet::all(), limit).iter().for_each(&mut check);
+    }
+    run_cases(150, |rng| check(&gen_tree(rng, 3)));
 }
 
 /// The tentpole's measurable claim: on real kernels the pool
@@ -155,37 +181,29 @@ fn interned_selection_is_byte_identical_to_the_boxed_reference() {
     }
 }
 
-/// The committed perf-gate baseline must describe the current compiler:
-/// every deterministic counter in `tests/golden/bench_baseline.json`
-/// matches a fresh run exactly (wall time is the one field allowed to
-/// drift). This is the local mirror of the CI perf gate.
+/// `tests/golden/bench_baseline.json` is the `BENCH_compile.json` of the
+/// current compiler, byte for byte: every selection counter, `insns` and
+/// `words` of the ten DSPStone kernels on both bundled targets, one row
+/// per line. CI runs the same comparison on the release build with
+/// `diff`. Regenerate the file (only after an intended change to
+/// selection work or code size) with
+///
+/// ```text
+/// cargo run --release --example dspstone_report -- --bench-json tests/golden/bench_baseline.json
+/// ```
 #[test]
 fn bench_baseline_matches_current_deterministic_counters() {
-    use record_trace::json::{parse, Value};
-    let baseline_text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/bench_baseline.json"
-    ))
-    .expect("committed baseline");
-    let baseline = parse(&baseline_text).expect("baseline is valid JSON");
-    let session = Session::new();
-    let rows = record::report::kernel_bench_report(&session).unwrap();
-    let base_rows = baseline.get("kernels").and_then(Value::as_array).unwrap();
-    assert_eq!(base_rows.len(), rows.len(), "baseline row count");
-    for row in &rows {
-        let base = base_rows
-            .iter()
-            .find(|b| {
-                b.get("kernel").and_then(Value::as_str) == Some(row.kernel)
-                    && b.get("target").and_then(Value::as_str) == Some(row.target.as_str())
-            })
-            .unwrap_or_else(|| panic!("{}/{} missing from baseline", row.kernel, row.target));
-        let num = |k: &str| base.get(k).and_then(Value::as_f64).unwrap() as u64;
-        let ctx = format!("{}/{}", row.kernel, row.target);
-        for (name, value) in row.select.counters() {
-            assert_eq!(num(name), value, "{ctx}: {name}");
-        }
-        assert_eq!(num("insns"), row.insns as u64, "{ctx}: insns");
-        assert_eq!(num("words"), row.words as u64, "{ctx}: words");
+    const BASELINE: &str = "tests/golden/bench_baseline.json";
+    let golden = std::fs::read_to_string(BASELINE).expect("committed baseline");
+    let rows = record::report::kernel_bench_report(&Session::new()).unwrap();
+    let current = record::report::render_kernel_bench_json(&rows);
+    for (got, want) in current.lines().zip(golden.lines()) {
+        assert_eq!(got, want, "row differs from {BASELINE}");
     }
+    assert!(
+        current == golden,
+        "{BASELINE}: {} lines, golden has {}",
+        current.lines().count(),
+        golden.lines().count()
+    );
 }
