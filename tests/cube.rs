@@ -54,6 +54,46 @@ fn asip_presets_embed_into_the_cube() {
     }
 }
 
+/// The ASIP configurations the tool chain ships or demonstrates: the
+/// three presets plus the two off-preset points of
+/// `examples/retarget_asip.rs`.
+fn asip_configurations() -> [(&'static str, AsipParams); 5] {
+    let minimal_agu = AsipParams { n_ars: 2, has_mul: true, ..AsipParams::minimal() };
+    let dsp_24 = AsipParams { word_width: 24, ..AsipParams::dsp() };
+    [
+        ("default", AsipParams::default()),
+        ("minimal", AsipParams::minimal()),
+        ("dsp", AsipParams::dsp()),
+        ("minimal + AGU", minimal_agu),
+        ("DSP, 24-bit datapath", dsp_24),
+    ]
+}
+
+/// The target fingerprint keys the compile cache and names the on-disk
+/// BURS table file, so it moves whenever the generated grammar does.
+/// Re-pin only together with an intended grammar change, and say why.
+#[test]
+fn asip_target_fingerprints_are_pinned() {
+    let pinned: [u64; 5] = [
+        0x8210_47a5_c95b_4780,
+        0xb99f_49cf_363a_ae80,
+        0xf485_c941_28cb_1827,
+        0xb1b0_3668_a837_8d74,
+        0xff15_8edf_f86b_6a3f,
+    ];
+    for ((name, p), want) in asip_configurations().into_iter().zip(pinned) {
+        let target = asip::build(&p);
+        target.validate().unwrap_or_else(|e| panic!("asip {name}: {e}"));
+        assert_eq!(
+            record::cache::target_fingerprint(&target),
+            want,
+            "asip {name} ({}): fingerprint moved",
+            target.name
+        );
+        assert!(Compiler::for_target(target).is_ok(), "asip {name}");
+    }
+}
+
 /// Saturation changes only what ADD/SUB compute, so a logic operation
 /// between two saturating adds must not switch the mode off and on.
 #[test]
