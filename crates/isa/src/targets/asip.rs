@@ -7,12 +7,12 @@
 //! parameter values." [`AsipParams`] is that set of generic parameters;
 //! [`build`] turns one point of the configuration space into a complete
 //! [`TargetDesc`] that the rest of the tool chain retargets to
-//! automatically.
+//! automatically. The ASIP family is the homogeneous-register corner of
+//! the processor cube (Fig. 1), so [`build`] names a point and lets
+//! [`CubeParams::from_asip`] generate its grammar.
 
-use record_ir::{BinOp, Op, UnOp};
-
-use crate::pattern::{units, Cost, PatNode, Predicate};
-use crate::target::{AguDesc, LoopCtrl, ModeDesc, RptDesc, TargetBuilder, TargetDesc};
+use crate::cube::CubeParams;
+use crate::target::TargetDesc;
 
 /// Generic parameters of the ASIP family.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,7 +25,9 @@ pub struct AsipParams {
     /// Hardware multiplier present? Without one, only multiplications by
     /// powers of two are supported (via the shifter).
     pub has_mul: bool,
-    /// Single-instruction multiply–accumulate present (implies `has_mul`)?
+    /// Single-instruction multiply–accumulate present? A MAC implies a
+    /// multiplier: with `has_mac` set, the target has the multiply rules
+    /// whatever `has_mul` says.
     pub has_mac: bool,
     /// Barrel shifter present? Without one, only shift-by-one.
     pub has_barrel_shift: bool,
@@ -93,7 +95,9 @@ impl AsipParams {
 ///
 /// # Panics
 ///
-/// Panics if `n_regs == 0` or `word_width` is outside `1..=64`.
+/// Panics if `n_regs == 0`, or if the point is degenerate by
+/// [`CubeParams::validate`]: `word_width` outside `4..=64`, or
+/// `imm_bits` 0 or wider than the data path.
 ///
 /// # Example
 ///
@@ -112,7 +116,6 @@ impl AsipParams {
 /// ```
 pub fn build(params: &AsipParams) -> TargetDesc {
     assert!(params.n_regs > 0, "ASIP needs at least one register");
-    assert!((1..=64).contains(&params.word_width), "word width out of range");
     let mut name = format!("asip-r{}", params.n_regs);
     if params.has_mac {
         name.push_str("-mac");
@@ -125,181 +128,20 @@ pub fn build(params: &AsipParams) -> TargetDesc {
     if params.has_sat_mode {
         name.push_str("-sat");
     }
-
-    let mut b = TargetBuilder::new(name, params.word_width);
-
-    let r_c = b.reg_class("r", params.n_regs);
-    let r = b.nt_reg("r", r_c);
-    let mem = b.nt_mem("mem");
-    let imm = b.nt_imm("imm", params.imm_bits);
-
-    b.base_mem_rules(mem);
-    b.base_imm_rule(imm);
-
-    let ld = b.chain(r, mem, "LD {d},{0}", Cost::new(1, 1));
-    b.with_units(ld, units::MOVE);
-    let ldi = b.chain(r, imm, "LDI {d},{0}", Cost::new(1, 1));
-    b.with_units(ldi, units::ALU);
-    let st = b.chain(mem, r, "ST {0},{d}", Cost::new(1, 1));
-    b.with_units(st, units::MOVE);
-
-    // Register-memory ALU operations (accumulator style keeps code
-    // compact; this is the domain-specific flavour of many ASIPs).
-    for (op, opname) in [
-        (BinOp::Add, "ADD"),
-        (BinOp::Sub, "SUB"),
-        (BinOp::And, "AND"),
-        (BinOp::Or, "OR"),
-        (BinOp::Xor, "XOR"),
-    ] {
-        let rule = b.pat(
-            r,
-            PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::nt(mem)]),
-            &format!("{opname} {{d}},{{1}}"),
-            Cost::new(1, 1),
-        );
-        b.with_units(rule, units::ALU);
-        let rule_rr = b.pat(
-            r,
-            PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::nt(r)]),
-            &format!("{opname}R {{d}},{{1}}"),
-            Cost::new(1, 1),
-        );
-        b.with_units(rule_rr, units::ALU);
-        // the saturation mode changes only what ADD/SUB compute
-        if matches!(op, BinOp::Add | BinOp::Sub) {
-            b.mode_sensitive(rule).mode_sensitive(rule_rr);
-        }
-    }
-    let addi = b.pat(
-        r,
-        PatNode::op(Op::Bin(BinOp::Add), vec![PatNode::nt(r), PatNode::nt(imm)]),
-        "ADDI {d},{1}",
-        Cost::new(1, 1),
-    );
-    b.with_units(addi, units::ALU);
-
-    if params.has_mul {
-        let mul = b.pat(
-            r,
-            PatNode::op(Op::Bin(BinOp::Mul), vec![PatNode::nt(r), PatNode::nt(mem)]),
-            "MUL {d},{1}",
-            Cost::new(1, if params.has_mac { 1 } else { 2 }),
-        );
-        b.with_units(mul, units::MUL);
-        let mul_rr = b.pat(
-            r,
-            PatNode::op(Op::Bin(BinOp::Mul), vec![PatNode::nt(r), PatNode::nt(r)]),
-            "MULR {d},{1}",
-            Cost::new(1, if params.has_mac { 1 } else { 2 }),
-        );
-        b.with_units(mul_rr, units::MUL);
-    } else {
-        // Multiplier-less configurations still handle powers of two.
-        let shmul = b.pat(
-            r,
-            PatNode::op(Op::Bin(BinOp::Mul), vec![PatNode::nt(r), PatNode::op(Op::Const, vec![])]),
-            "SHLK {d},{0}",
-            Cost::new(1, 1),
-        );
-        b.with_pred(shmul, Predicate::ConstPow2).with_units(shmul, units::ALU);
-    }
-
-    if params.has_mac {
-        let mac = b.pat(
-            r,
-            PatNode::op(
-                Op::Bin(BinOp::Add),
-                vec![
-                    PatNode::nt(r),
-                    PatNode::op(Op::Bin(BinOp::Mul), vec![PatNode::nt(r), PatNode::nt(mem)]),
-                ],
-            ),
-            "MAC {d},{1},{2}",
-            Cost::new(1, 1),
-        );
-        b.with_units(mac, units::MUL | units::ALU);
-    }
-
-    if params.has_barrel_shift {
-        for (op, opname) in [(BinOp::Shl, "SHL"), (BinOp::Shr, "SHR")] {
-            let rule = b.pat(
-                r,
-                PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::op(Op::Const, vec![])]),
-                &format!("{opname} {{d}},{{1}}"),
-                Cost::new(1, 1),
-            );
-            b.with_pred(rule, Predicate::ConstFits { bits: 6 }).with_units(rule, units::ALU);
-        }
-    } else {
-        for (op, opname) in [(BinOp::Shl, "SHL1"), (BinOp::Shr, "SHR1")] {
-            let rule = b.pat(
-                r,
-                PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::op(Op::Const, vec![])]),
-                &format!("{opname} {{d}}"),
-                Cost::new(1, 1),
-            );
-            b.with_pred(rule, Predicate::ConstEquals(1)).with_units(rule, units::ALU);
-        }
-    }
-
-    for (op, opname) in [(UnOp::Neg, "NEG"), (UnOp::Not, "NOT"), (UnOp::Abs, "ABS")] {
-        let rule = b.pat(
-            r,
-            PatNode::op(Op::Un(op), vec![PatNode::nt(r)]),
-            &format!("{opname} {{d}}"),
-            Cost::new(1, 1),
-        );
-        b.with_units(rule, units::ALU);
-    }
-
-    if params.has_sat_mode {
-        let sat = b.mode(ModeDesc {
-            name: "sat".into(),
-            set_asm: "SSAT".into(),
-            clear_asm: "RSAT".into(),
-            cost: Cost::new(1, 1),
-            default_on: false,
-        });
-        for (op, opname) in [(BinOp::SatAdd, "ADD"), (BinOp::SatSub, "SUB")] {
-            let rule = b.pat(
-                r,
-                PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::nt(mem)]),
-                &format!("{opname} {{d}},{{1}}"),
-                Cost::new(1, 1),
-            );
-            b.with_mode(rule, sat, true).with_units(rule, units::ALU).mode_sensitive(rule);
-        }
-    }
-
-    b.store(r, "ST {0},{d}", Cost::new(1, 1));
-
-    b.memory(1, 2048);
-    if params.n_ars > 0 {
-        b.agu(AguDesc {
-            n_ars: params.n_ars,
-            post_range: 1,
-            ar_load_cost: Cost::new(1, 1),
-            ar_add_cost: Cost::new(1, 1),
-        });
-    }
-    b.loop_ctrl(LoopCtrl {
-        init_cost: Cost::new(1, 1),
-        end_cost: Cost::new(2, 2),
-        rpt: if params.has_rpt {
-            Some(RptDesc { cost: Cost::new(1, 1), max_count: 4096 })
-        } else {
-            None
-        },
-    });
-
-    b.build().expect("asip description is internally consistent")
+    let mut target = CubeParams::from_asip(params)
+        .build()
+        .unwrap_or_else(|e| panic!("ASIP parameters are not a valid cube point: {e}"));
+    target.name = name;
+    target
 }
 
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)] // Code::default() + .insns is the clearest test setup
 mod tests {
+    use record_ir::{BinOp, Op};
+
     use super::*;
+    use crate::pattern::Predicate;
 
     #[test]
     fn default_and_presets_are_valid() {
@@ -329,6 +171,16 @@ mod tests {
         assert!(t.rules.iter().any(|r| r.asm.starts_with("MAC ")));
         let t = build(&AsipParams::default());
         assert!(!t.rules.iter().any(|r| r.asm.starts_with("MAC ")));
+    }
+
+    #[test]
+    fn mac_implies_a_multiplier() {
+        for base in [AsipParams::default(), AsipParams::minimal(), AsipParams::dsp()] {
+            let without = build(&AsipParams { has_mac: true, has_mul: false, ..base.clone() });
+            let with = build(&AsipParams { has_mac: true, has_mul: true, ..base });
+            assert!(without.name.contains("-mac"), "{}", without.name);
+            assert_eq!(without, with);
+        }
     }
 
     #[test]
