@@ -316,8 +316,8 @@ impl CubeParams {
 
     /// Grows a classic [`AsipParams`] set into a cube point: same
     /// functional units, homogeneous register file, single bank, no
-    /// parallel moves — the corner of the cube the ASIP generator
-    /// always lived in.
+    /// parallel moves. A MAC brings its multiplier. This is the one
+    /// grammar behind [`asip::build`](crate::targets::asip::build).
     pub fn from_asip(p: &AsipParams) -> CubeParams {
         CubeParams {
             word_width: p.word_width,
@@ -848,16 +848,6 @@ mod tests {
         p.word_width = 16;
         assert_eq!(p.validate(), Err(CubeError::ImmBits { imm: 40, word: 16 }));
         assert!(p.build().is_err());
-    }
-
-    #[test]
-    fn asip_params_embed_into_the_cube() {
-        let p = CubeParams::from_asip(&AsipParams::dsp());
-        assert_eq!(p.validate(), Ok(()));
-        let t = p.build().unwrap();
-        assert!(t.rules.iter().any(|r| r.asm.starts_with("MAC ")));
-        assert!(t.agu.is_some());
-        assert_eq!(t.modes.len(), 1);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   so fuzz-found bugs stay fixed without re-fuzzing.
 //! * **Sweep smoke** — a small seeded target-fuzz run ends with zero
 //!   failures and a well-formed JSON survival report.
-//! * **ASIP corner** — `asip::build` and the cube's homogeneous corner
-//!   build the same target for every ASIP preset, so the two grammars
-//!   cannot drift apart.
+//! * **ASIP corner** — `asip::build` names points of the cube's
+//!   homogeneous corner; the target fingerprints of the three presets and
+//!   of the retargeting demo's two off-preset points are pinned, so any
+//!   change to that grammar shows up here.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -34,23 +35,6 @@ fn every_seeded_cube_point_is_valid_and_builds() {
         target
             .validate()
             .unwrap_or_else(|e| panic!("seed {seed}: built target is inconsistent: {e}"));
-    }
-}
-
-#[test]
-fn asip_presets_embed_into_the_cube() {
-    for (name, p) in [
-        ("default", AsipParams::default()),
-        ("minimal", AsipParams::minimal()),
-        ("dsp", AsipParams::dsp()),
-    ] {
-        let cube = CubeParams::from_asip(&p);
-        assert_eq!(cube.validate(), Ok(()), "asip preset {name}");
-        let mut target = cube.build().unwrap_or_else(|e| panic!("asip preset {name}: {e}"));
-        let generated = asip::build(&p);
-        target.name = generated.name.clone();
-        assert_eq!(target, generated, "asip preset {name}: the cube corner differs");
-        assert!(Compiler::for_target(target).is_ok(), "asip preset {name}");
     }
 }
 
