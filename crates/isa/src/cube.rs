@@ -537,14 +537,14 @@ impl CubeParams {
             let rm = b.pat(
                 r,
                 PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::nt(mem)]),
-                &format!("{opname} {{d}},{{1}}"),
+                &format!("{opname} {{d}},{{0}},{{1}}"),
                 Cost::new(1, 1),
             );
             b.with_units(rm, units::ALU);
             let rr = b.pat(
                 r,
                 PatNode::op(Op::Bin(op), vec![PatNode::nt(r), PatNode::nt(r)]),
-                &format!("{opname}R {{d}},{{1}}"),
+                &format!("{opname}R {{d}},{{0}},{{1}}"),
                 Cost::new(1, 1),
             );
             b.with_units(rr, units::ALU);
@@ -555,7 +555,7 @@ impl CubeParams {
         let addi = b.pat(
             r,
             PatNode::op(Op::Bin(BinOp::Add), vec![PatNode::nt(r), PatNode::nt(imm)]),
-            "ADDI {d},{1}",
+            "ADDI {d},{0},{1}",
             Cost::new(1, 1),
         );
         b.with_units(addi, units::ALU);
@@ -564,14 +564,14 @@ impl CubeParams {
             let mul = b.pat(
                 r,
                 PatNode::op(Op::Bin(BinOp::Mul), vec![PatNode::nt(r), PatNode::nt(mem)]),
-                "MUL {d},{1}",
+                "MUL {d},{0},{1}",
                 Cost::new(1, if self.has_mac { 1 } else { 2 }),
             );
             b.with_units(mul, units::MUL);
             let mul_rr = b.pat(
                 r,
                 PatNode::op(Op::Bin(BinOp::Mul), vec![PatNode::nt(r), PatNode::nt(r)]),
-                "MULR {d},{1}",
+                "MULR {d},{0},{1}",
                 Cost::new(1, if self.has_mac { 1 } else { 2 }),
             );
             b.with_units(mul_rr, units::MUL);
@@ -597,23 +597,23 @@ impl CubeParams {
                         PatNode::op(Op::Bin(BinOp::Mul), vec![PatNode::nt(r), PatNode::nt(mem)]),
                     ],
                 ),
-                "MAC {d},{1},{2}",
+                "MAC {d},{0},{1},{2}",
                 Cost::new(1, 1),
             );
             b.with_units(mac, units::MUL | units::ALU);
         }
 
-        self.shift_rules(b, r);
+        self.shift_rules(b, r, "{d},{0}");
         for (op, opname) in [(UnOp::Neg, "NEG"), (UnOp::Not, "NOT"), (UnOp::Abs, "ABS")] {
             let rule = b.pat(
                 r,
                 PatNode::op(Op::Un(op), vec![PatNode::nt(r)]),
-                &format!("{opname} {{d}}"),
+                &format!("{opname} {{d}},{{0}}"),
                 Cost::new(1, 1),
             );
             b.with_units(rule, units::ALU);
         }
-        self.sat_rules(b, r, mem);
+        self.sat_rules(b, r, mem, "{d},{0}");
         b.store(r, "ST {0},{d}", Cost::new(1, 1));
     }
 
@@ -708,13 +708,16 @@ impl CubeParams {
             );
             b.with_units(rule, units::ALU);
         }
-        self.shift_rules(b, a);
-        self.sat_rules(b, a, x);
+        self.shift_rules(b, a, "{d}");
+        self.sat_rules(b, a, x, "{d}");
         b.store(a, "MOVE {0},{d}", Cost::new(1, 1));
     }
 
-    /// Shift rules: barrel (any constant amount) or shift-by-one.
-    fn shift_rules(&self, b: &mut TargetBuilder, reg: crate::nonterm::NonTermId) {
+    /// Shift rules: barrel (any constant amount) or shift-by-one. `dst`
+    /// is the operand text before the shift amount: `{d},{0}` for the
+    /// three-operand homogeneous syntax, `{d}` for the two-operand
+    /// special-purpose one.
+    fn shift_rules(&self, b: &mut TargetBuilder, reg: crate::nonterm::NonTermId, dst: &str) {
         if self.has_barrel_shift {
             for (op, opname) in [(BinOp::Shl, "SHL"), (BinOp::Shr, "SHR")] {
                 let rule = b.pat(
@@ -723,7 +726,7 @@ impl CubeParams {
                         Op::Bin(op),
                         vec![PatNode::nt(reg), PatNode::op(Op::Const, vec![])],
                     ),
-                    &format!("{opname} {{d}},{{1}}"),
+                    &format!("{opname} {dst},{{1}}"),
                     Cost::new(1, 1),
                 );
                 b.with_pred(rule, Predicate::ConstFits { bits: 6 }).with_units(rule, units::ALU);
@@ -736,7 +739,7 @@ impl CubeParams {
                         Op::Bin(op),
                         vec![PatNode::nt(reg), PatNode::op(Op::Const, vec![])],
                     ),
-                    &format!("{opname} {{d}}"),
+                    &format!("{opname} {dst}"),
                     Cost::new(1, 1),
                 );
                 b.with_pred(rule, Predicate::ConstEquals(1)).with_units(rule, units::ALU);
@@ -746,12 +749,14 @@ impl CubeParams {
 
     /// Saturation rules per the [`ModeSet`] axis. `src` is the second
     /// operand nonterminal (memory on homogeneous files, the `x` side on
-    /// special-purpose ones).
+    /// special-purpose ones); `dst` is the operand text before it, as in
+    /// [`shift_rules`](Self::shift_rules).
     fn sat_rules(
         &self,
         b: &mut TargetBuilder,
         reg: crate::nonterm::NonTermId,
         src: crate::nonterm::NonTermId,
+        dst: &str,
     ) {
         match self.modes {
             ModeSet::None => {}
@@ -760,7 +765,7 @@ impl CubeParams {
                     let rule = b.pat(
                         reg,
                         PatNode::op(Op::Bin(op), vec![PatNode::nt(reg), PatNode::nt(src)]),
-                        &format!("{opname} {{d}},{{1}}"),
+                        &format!("{opname} {dst},{{1}}"),
                         Cost::new(1, 1),
                     );
                     b.with_units(rule, units::ALU);
@@ -778,7 +783,7 @@ impl CubeParams {
                     let rule = b.pat(
                         reg,
                         PatNode::op(Op::Bin(op), vec![PatNode::nt(reg), PatNode::nt(src)]),
-                        &format!("{opname} {{d}},{{1}}"),
+                        &format!("{opname} {dst},{{1}}"),
                         Cost::new(1, 1),
                     );
                     b.with_mode(rule, sat, true).with_units(rule, units::ALU).mode_sensitive(rule);

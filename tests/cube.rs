@@ -20,8 +20,10 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use record::{Compiler, PassPlan};
-use record_isa::cube::CubeParams;
+use record_isa::cube::{CubeParams, RegFile};
+use record_isa::pattern::PatLeaf;
 use record_isa::targets::asip::{self, AsipParams};
+use record_isa::{NonTermKind, TargetDesc};
 use record_repro::fuzz;
 
 #[test]
@@ -59,11 +61,11 @@ fn asip_configurations() -> [(&'static str, AsipParams); 5] {
 #[test]
 fn asip_target_fingerprints_are_pinned() {
     let pinned: [u64; 5] = [
-        0x8210_47a5_c95b_4780,
-        0xb99f_49cf_363a_ae80,
-        0xf485_c941_28cb_1827,
-        0xb1b0_3668_a837_8d74,
-        0xff15_8edf_f86b_6a3f,
+        0x8bc1_e6ef_a689_f5c0,
+        0x6b41_6b6c_181f_7784,
+        0xebcb_123a_96d1_fdbd,
+        0x0bf0_6fdb_7ff3_6094,
+        0x4275_dd44_64ad_56c5,
     ];
     for ((name, p), want) in asip_configurations().into_iter().zip(pinned) {
         let target = asip::build(&p);
@@ -76,6 +78,41 @@ fn asip_target_fingerprints_are_pinned() {
         );
         assert!(Compiler::for_target(target).is_ok(), "asip {name}");
     }
+}
+
+/// Every register operand a rule reads appears in its listing text, so
+/// `ADD r2,r0,a` names the register it adds to instead of reading as an
+/// accumulate into `r2`.
+fn assert_listing_names_register_operands(target: &TargetDesc) {
+    for rule in &target.rules {
+        for (i, leaf) in rule.leaves().into_iter().enumerate() {
+            let PatLeaf::Nt(nt) = leaf else { continue };
+            if matches!(target.nonterm(nt).kind, NonTermKind::Reg(_)) {
+                assert!(
+                    rule.asm.contains(&format!("{{{i}}}")),
+                    "{}: `{}` omits register operand {{{i}}}",
+                    target.name,
+                    rule.asm
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn homogeneous_listings_name_every_register_operand() {
+    for (_, p) in asip_configurations() {
+        assert_listing_names_register_operands(&asip::build(&p));
+    }
+    let mut homogeneous = 0;
+    for seed in 0u64..200 {
+        let params = CubeParams::from_seed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        if matches!(params.reg_file, RegFile::Homogeneous { .. }) {
+            assert_listing_names_register_operands(&params.build().unwrap());
+            homogeneous += 1;
+        }
+    }
+    assert!(homogeneous > 50, "only {homogeneous} homogeneous points in 200 seeds");
 }
 
 /// Saturation changes only what ADD/SUB compute, so a logic operation
