@@ -136,7 +136,6 @@ pub fn build(params: &AsipParams) -> TargetDesc {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // Code::default() + .insns is the clearest test setup
 mod tests {
     use record_ir::{BinOp, Op};
 
@@ -198,15 +197,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one register")]
     fn zero_registers_rejected() {
-        let mut p = AsipParams::default();
-        p.n_regs = 0;
-        build(&p);
+        build(&AsipParams { n_regs: 0, ..AsipParams::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "word width 2 outside 4..=64")]
+    fn word_width_below_the_cube_range_rejected() {
+        build(&AsipParams { word_width: 2, ..AsipParams::default() });
     }
 
     #[test]
     fn word_width_parameter_respected() {
-        let mut p = AsipParams::default();
-        p.word_width = 24;
-        assert_eq!(build(&p).word_width, 24);
+        assert_eq!(build(&AsipParams { word_width: 24, ..AsipParams::default() }).word_width, 24);
     }
 }
