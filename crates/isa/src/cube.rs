@@ -548,6 +548,7 @@ impl CubeParams {
                 Cost::new(1, 1),
             );
             b.with_units(rr, units::ALU);
+            // the saturation mode changes only what ADD/SUB compute
             if matches!(op, BinOp::Add | BinOp::Sub) {
                 b.mode_sensitive(rm).mode_sensitive(rr);
             }
@@ -576,6 +577,7 @@ impl CubeParams {
             );
             b.with_units(mul_rr, units::MUL);
         } else {
+            // multiplier-less configurations still handle powers of two
             let shmul = b.pat(
                 r,
                 PatNode::op(
