@@ -1298,6 +1298,28 @@ mod tests {
     }
 
     #[test]
+    fn every_probe_seed_starts_from_power_on_state() {
+        // `y := x` through a register that the code reads before it
+        // writes: correct only while r1 holds its power-on zero, so a
+        // probe that inherits the previous seed's r1 must fail
+        let t = record_isa::targets::simple_risc::target(8);
+        let e = Emitter::new(&t);
+        let r1 = Loc::Reg(RegId::new(t.reg_class("r").unwrap(), 1));
+        let x = Loc::Mem(MemLoc::scalar("x"));
+        let insns = vec![
+            Insn::compute(
+                Loc::Mem(MemLoc::scalar("y")),
+                SemExpr::bin(BinOp::Add, SemExpr::loc(r1.clone()), SemExpr::loc(x.clone())),
+                "ADD y,r1,x",
+                1,
+                1,
+            ),
+            Insn::mov(r1, x, "LW r1,x", 1, 1),
+        ];
+        assert!(e.verify_statement(&assign("y", Tree::var("x")), &insns));
+    }
+
+    #[test]
     fn temp_operands_read_their_memory_cell() {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);

@@ -140,6 +140,24 @@ impl<'t> Machine<'t> {
         self.trace.take().unwrap_or_default()
     }
 
+    /// Returns the machine to the state [`Machine::new`] creates: zeroed
+    /// registers, address registers and memory, and default mode states.
+    /// The step budget and whether tracing is on are kept; a trace log
+    /// is emptied.
+    pub fn reset(&mut self) {
+        self.regs.clear();
+        self.ars.fill(0);
+        for bank in &mut self.mem {
+            bank.fill(0);
+        }
+        for (slot, m) in self.modes.iter_mut().zip(&self.target.modes) {
+            *slot = m.default_on;
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.clear();
+        }
+    }
+
     /// Writes a value into a variable's element through the code's layout.
     ///
     /// # Errors
@@ -862,6 +880,64 @@ mod tests {
         let m = Machine::new(&target);
         let acc = record_isa::RegId::singleton(target.reg_class("acc").unwrap());
         assert_eq!(m.reg(acc), 0);
+    }
+
+    #[test]
+    fn reset_restores_power_on_state() {
+        let target = t();
+        let words = target.memory.words_per_bank;
+        let high = words - 1;
+        let mut code = code_with_layout(&[("x", 1), ("y", 1)]);
+        code.layout.place(Symbol::new("hx"), high, 1, Bank::X);
+        code.layout.place(Symbol::new("hy"), high, 1, Bank::Y);
+        for (c, class) in target.reg_classes.iter().enumerate() {
+            for ix in 0..class.count {
+                let r = RegId::new(record_isa::RegClassId(c as u16), ix);
+                code.insns.push(Insn::mov(Loc::Reg(r), mem("x"), "LD", 1, 1));
+            }
+        }
+        code.insns.push(Insn::ctrl(
+            InsnKind::ArLoad { ar: 1, base: Symbol::new("hx"), disp: 0 },
+            "LRLK",
+            2,
+            2,
+        ));
+        let flipped = !target.modes[0].default_on;
+        code.insns.push(Insn::ctrl(InsnKind::SetMode { mode: 0, on: flipped }, "SOVM", 1, 1));
+        code.insns.push(Insn::mov(mem("y"), mem("x"), "MOV y,x", 1, 1));
+
+        let mut m = Machine::new(&target);
+        for (sym, v) in [("x", 5), ("hx", 6), ("hy", 7)] {
+            m.poke(&Symbol::new(sym), 0, v, &code).unwrap();
+        }
+        m.run(&code).unwrap();
+        // the program really dirtied every kind of state
+        assert_eq!(m.peek(&Symbol::new("y"), 0, &code), Some(5));
+        assert_eq!(m.peek(&Symbol::new("hy"), 0, &code), Some(7));
+        assert_eq!(m.ars[1], high as i64);
+        assert_eq!(m.mode(0), flipped);
+
+        m.reset();
+        let fresh = Machine::new(&target);
+        for (c, class) in target.reg_classes.iter().enumerate() {
+            for ix in 0..class.count {
+                let r = RegId::new(record_isa::RegClassId(c as u16), ix);
+                assert_eq!(m.reg(r), fresh.reg(r), "{r:?}");
+            }
+        }
+        assert_eq!(m.ars, fresh.ars);
+        for mode in 0..target.modes.len() {
+            assert_eq!(m.mode(mode), fresh.mode(mode), "mode {mode}");
+        }
+        let mut whole = Code::default();
+        whole.layout.place(Symbol::new("bx"), 0, words.into(), Bank::X);
+        whole.layout.place(Symbol::new("by"), 0, words.into(), Bank::Y);
+        for bank in ["bx", "by"] {
+            let sym = Symbol::new(bank);
+            for ix in 0..u32::from(words) {
+                assert_eq!(m.peek(&sym, ix, &whole), fresh.peek(&sym, ix, &whole), "{bank}[{ix}]");
+            }
+        }
     }
 
     #[test]
