@@ -204,7 +204,7 @@ impl<'t> Emitter<'t> {
         while let Some(cur) = work.pop() {
             let (insns, stats) = self.emit_one(&cur, rules, variant_limit)?;
             total_stats.add_counters(&stats);
-            if self.verify_statement(&cur, &insns) {
+            if self.verify_statement(&cur, &insns, &mut total_stats) {
                 out.extend(insns);
                 continue;
             }
@@ -466,7 +466,7 @@ impl<'t> Emitter<'t> {
                 stats.labels_computed += self.label_cache.misses() - misses0;
                 let Some(cover) = cover else { return Ok(None) };
                 let mut insns = Vec::new();
-                let loc = self.emit_cover(&cover.root, &mut insns, &format!("$dag{slot}"))?;
+                let loc = self.emit_cover(&cover.root, &mut insns, &format_args!("$dag{slot}"))?;
                 self.held.push(loc.clone());
                 self.shared_locs[slot] = Some(loc);
                 def_insns.extend(insns.iter().cloned());
@@ -497,7 +497,7 @@ impl<'t> Emitter<'t> {
                             .position(|st| st.nt == store_nt)
                             .expect("candidate came from stores");
                         let mut insns = Vec::new();
-                        let value = self.emit_cover(&cover.root, &mut insns, &stmt.to_string())?;
+                        let value = self.emit_cover(&cover.root, &mut insns, stmt)?;
                         let store = &self.target.stores[store_ix];
                         let dst = MemLoc::from_mem_ref(&stmt.dst);
                         let text = store
@@ -518,7 +518,7 @@ impl<'t> Emitter<'t> {
                         // statement reads registers they populate
                         let mut probe = def_insns.clone();
                         probe.extend(insns.iter().cloned());
-                        if !self.verify_statement(stmt, &probe) {
+                        if !self.verify_statement(stmt, &probe, stats) {
                             return Ok(None);
                         }
                         chosen = Some(insns);
@@ -596,12 +596,15 @@ impl<'t> Emitter<'t> {
     /// Executes the emitted instructions on the simulator with
     /// pseudo-random operand values and compares the destination against
     /// the tree's reference evaluation. Returns `true` when they agree on
-    /// every probe.
-    fn verify_statement(&self, stmt: &AssignStmt, insns: &[Insn]) -> bool {
+    /// every probe. The probe program does not depend on the values, so
+    /// it is built once and every seed replays it on one machine, reset
+    /// to its power-on state first; each run counts in `probe_runs`.
+    fn verify_statement(&self, stmt: &AssignStmt, insns: &[Insn], stats: &mut SelectStats) -> bool {
         use std::collections::HashMap;
         // Collect every symbol the statement and its code touch.
         let mut lens: HashMap<Symbol, i64> = HashMap::new();
         let mut index_vars: Vec<Symbol> = Vec::new();
+        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
         {
             let mut note = |base: &Symbol, disp: i64| {
                 let e = lens.entry(base.clone()).or_insert(1);
@@ -621,16 +624,43 @@ impl<'t> Emitter<'t> {
                     }
                 }
             }
-            let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
             note(&dst_loc.base, dst_loc.disp);
         }
-        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
 
+        // build the probe program
+        let mut code = record_isa::Code {
+            insns: Vec::new(),
+            layout: Default::default(),
+            target: self.target.name.clone(),
+            name: "verify".into(),
+        };
+        let mut addr = 0u16;
+        let mut placed: Vec<(&Symbol, i64)> = lens.iter().map(|(k, v)| (k, *v)).collect();
+        placed.sort();
+        for (sym, len) in &placed {
+            code.layout.place((*sym).clone(), addr, *len as u32, record_ir::Bank::X);
+            addr += *len as u16;
+        }
+        for v in &index_vars {
+            code.insns.push(Insn::ctrl(
+                InsnKind::LoopStart { var: v.clone(), count: 1 },
+                "probe-loop",
+                0,
+                0,
+            ));
+        }
+        code.insns.extend(insns.iter().cloned());
+        for _ in &index_vars {
+            code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
+        }
+        record_opt::insert_mode_changes(&mut code, self.target, record_opt::ModeStrategy::Lazy);
+
+        let width = self.target.word_width;
+        let mut machine = record_sim::Machine::new(self.target);
         for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
             // deterministic, bit-rich per-symbol-element values: full-width
             // patterns make value coincidences (a clobbered computation
             // accidentally matching the reference) vanishingly unlikely
-            let width = self.target.word_width;
             let value_of = move |sym: &Symbol, ix: i64| -> i64 {
                 let mut h = seed;
                 for b in sym.as_str().bytes() {
@@ -653,37 +683,9 @@ impl<'t> Emitter<'t> {
                 value_of(&m.base, m.disp)
             };
             let mut read_temp = |s: &Symbol| value_of(s, 0);
-            let expect = stmt.src.eval(self.target.word_width, &mut read_mem, &mut read_temp);
+            let expect = stmt.src.eval(width, &mut read_mem, &mut read_temp);
 
-            // build the probe program
-            let mut code = record_isa::Code {
-                insns: Vec::new(),
-                layout: Default::default(),
-                target: self.target.name.clone(),
-                name: "verify".into(),
-            };
-            let mut addr = 0u16;
-            let mut placed: Vec<(&Symbol, i64)> = lens.iter().map(|(k, v)| (k, *v)).collect();
-            placed.sort();
-            for (sym, len) in &placed {
-                code.layout.place((*sym).clone(), addr, *len as u32, record_ir::Bank::X);
-                addr += *len as u16;
-            }
-            for v in &index_vars {
-                code.insns.push(Insn::ctrl(
-                    InsnKind::LoopStart { var: v.clone(), count: 1 },
-                    "probe-loop",
-                    0,
-                    0,
-                ));
-            }
-            code.insns.extend(insns.iter().cloned());
-            for _ in &index_vars {
-                code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
-            }
-            record_opt::insert_mode_changes(&mut code, self.target, record_opt::ModeStrategy::Lazy);
-
-            let mut machine = record_sim::Machine::new(self.target);
+            machine.reset();
             for (sym, len) in &placed {
                 for ix in 0..*len {
                     if machine.poke(sym, ix as u32, value_of(sym, ix), &code).is_err() {
@@ -691,11 +693,12 @@ impl<'t> Emitter<'t> {
                     }
                 }
             }
+            stats.probe_runs += 1;
             if machine.run(&code).is_err() {
                 return false;
             }
             let got = machine.peek(&dst_loc.base, dst_loc.disp.max(0) as u32, &code);
-            if got != Some(record_ir::ops::wrap_to_width(expect, self.target.word_width)) {
+            if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
                 return false;
             }
         }
@@ -729,7 +732,7 @@ impl<'t> Emitter<'t> {
         };
 
         let mut insns = Vec::new();
-        let value = self.emit_cover(&cover.root, &mut insns, &stmt.to_string())?;
+        let value = self.emit_cover(&cover.root, &mut insns, stmt)?;
 
         // the store
         let store = &self.target.stores[store_ix];
@@ -865,18 +868,22 @@ impl<'t> Emitter<'t> {
 
     /// Emits the instructions of a cover node; returns the location of
     /// its value.
+    ///
+    /// `stmt` names the statement in an [`CompileError::OutOfRegisters`]
+    /// error; it is formatted only then.
     fn emit_cover(
         &mut self,
         node: &CoverNode,
         out: &mut Vec<Insn>,
-        stmt_text: &str,
+        stmt: &dyn std::fmt::Display,
     ) -> Result<Loc, CompileError> {
         // A shared-value reference emits nothing: the value already sits
         // in the register the block parked it in.
         if node.rule == SHARED_RULE {
             return Ok(self.operand_loc(&node.operands[0]));
         }
-        let rule = self.target.rule(node.rule).clone();
+        let target = self.target;
+        let rule = target.rule(node.rule);
 
         // Identity (base) rules: a leaf pattern with zero cost just
         // forwards its binding.
@@ -892,13 +899,13 @@ impl<'t> Emitter<'t> {
         let n = node.operands.len();
         let order: Vec<usize> = rule
             .eval_order
-            .clone()
+            .as_ref()
             .map(|o| o.iter().map(|i| *i as usize).collect())
             .unwrap_or_else(|| (0..n).collect());
         let mut locs: Vec<Option<Loc>> = vec![None; n];
         for &i in &order {
             let loc = match &node.operands[i] {
-                Operand::Derived(child) => self.emit_cover(child, out, stmt_text)?,
+                Operand::Derived(child) => self.emit_cover(child, out, stmt)?,
                 other => self.operand_loc(other),
             };
             locs[i] = Some(loc);
@@ -906,7 +913,7 @@ impl<'t> Emitter<'t> {
         let locs: Vec<Loc> = locs.into_iter().map(|l| l.expect("all operands visited")).collect();
 
         // destination for the produced value
-        let dst = self.lhs_loc(&rule, stmt_text)?;
+        let dst = self.lhs_loc(rule, stmt)?;
 
         // semantics from the pattern shape
         let expr = match &rule.rhs {
@@ -918,8 +925,7 @@ impl<'t> Emitter<'t> {
         };
 
         // render assembly text
-        let mut text = rule.asm.clone();
-        text = text.replace("{d}", &self.loc_text(&dst));
+        let mut text = rule.asm.replace("{d}", &self.loc_text(&dst));
         for (i, loc) in locs.iter().enumerate() {
             text = text.replace(&format!("{{{i}}}"), &self.loc_text(loc));
         }
@@ -930,7 +936,7 @@ impl<'t> Emitter<'t> {
         insn.mode_sensitive = rule.mode_sensitive;
         insn.mode_req = rule.mode.or_else(|| {
             if rule.mode_sensitive {
-                self.target.sat_mode().map(|m| (m, false))
+                target.sat_mode().map(|m| (m, false))
             } else {
                 None
             }
@@ -945,7 +951,11 @@ impl<'t> Emitter<'t> {
     }
 
     /// The location a rule's lhs value materializes in.
-    fn lhs_loc(&mut self, rule: &record_isa::Rule, stmt_text: &str) -> Result<Loc, CompileError> {
+    fn lhs_loc(
+        &mut self,
+        rule: &record_isa::Rule,
+        stmt: &dyn std::fmt::Display,
+    ) -> Result<Loc, CompileError> {
         match self.target.nonterm(rule.lhs).kind {
             NonTermKind::Reg(class) => {
                 let decl = self.target.class(class);
@@ -971,7 +981,7 @@ impl<'t> Emitter<'t> {
                     }
                     None => Err(CompileError::OutOfRegisters {
                         class: decl.name.clone(),
-                        stmt: stmt_text.to_string(),
+                        stmt: stmt.to_string(),
                     }),
                 }
             }
@@ -1289,12 +1299,14 @@ mod tests {
         );
         // raw emission (no verify loop)
         let (insns, _) = e.emit_one(&stmt, &RuleSet::none(), 1).unwrap();
-        let ok = e.verify_statement(&stmt, &insns);
+        let ok = e.verify_statement(&stmt, &insns, &mut SelectStats::default());
         // the naive cover clobbers the accumulator; the verifier must say no
         assert!(!ok, "{:?}", texts(&insns));
         // and the public entry point must produce correct code
         let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
-        assert!(e.verify_statement(&stmt, &fixed), "{:?}", texts(&fixed));
+        let mut stats = SelectStats::default();
+        assert!(e.verify_statement(&stmt, &fixed, &mut stats), "{:?}", texts(&fixed));
+        assert_eq!(stats.probe_runs, 4, "a passing statement runs every seed");
     }
 
     #[test]
@@ -1316,7 +1328,9 @@ mod tests {
             ),
             Insn::mov(r1, x, "LW r1,x", 1, 1),
         ];
-        assert!(e.verify_statement(&assign("y", Tree::var("x")), &insns));
+        let mut stats = SelectStats::default();
+        assert!(e.verify_statement(&assign("y", Tree::var("x")), &insns, &mut stats));
+        assert_eq!(stats.probe_runs, 4);
     }
 
     #[test]

@@ -40,6 +40,7 @@ macro_rules! select_counters {
             shared_subtrees: "Soundly shareable multi-use subtrees in the block DAG.";
             shares_taken: "DAG sharing candidates computed once into a parked register.";
             recomputes_chosen: "DAG sharing candidates recomputed at every use instead.";
+            probe_runs: "Simulator runs made by emit-time verification.";
         }
     };
 }

@@ -95,6 +95,8 @@ pub struct Machine<'t> {
     target: &'t TargetDesc,
     regs: HashMap<RegId, i64>,
     ars: Vec<i64>,
+    /// Each bank's words up to the highest one written; every word past
+    /// a bank's end (and below `words_per_bank`) reads as zero.
     mem: [Vec<i64>; 2],
     modes: Vec<bool>,
     max_steps: u64,
@@ -110,12 +112,11 @@ impl<'t> Machine<'t> {
     /// Creates a machine with zeroed storage and default mode states.
     pub fn new(target: &'t TargetDesc) -> Self {
         let n_ars = target.agu.as_ref().map(|a| a.n_ars as usize).unwrap_or(0);
-        let words = target.memory.words_per_bank as usize;
         Machine {
             target,
             regs: HashMap::new(),
             ars: vec![0; n_ars],
-            mem: [vec![0; words], vec![0; words]],
+            mem: [Vec::new(), Vec::new()],
             modes: target.modes.iter().map(|m| m.default_on).collect(),
             max_steps: DEFAULT_MAX_STEPS,
             trace: None,
@@ -143,12 +144,13 @@ impl<'t> Machine<'t> {
     /// Returns the machine to the state [`Machine::new`] creates: zeroed
     /// registers, address registers and memory, and default mode states.
     /// The step budget and whether tracing is on are kept; a trace log
-    /// is emptied.
+    /// is emptied. The cost grows with the highest memory word written,
+    /// not with the bank size.
     pub fn reset(&mut self) {
         self.regs.clear();
         self.ars.fill(0);
         for bank in &mut self.mem {
-            bank.fill(0);
+            bank.clear();
         }
         for (slot, m) in self.modes.iter_mut().zip(&self.target.modes) {
             *slot = m.default_on;
@@ -180,7 +182,7 @@ impl<'t> Machine<'t> {
     /// Reads a variable's element through the code's layout.
     pub fn peek(&self, sym: &Symbol, index: u32, code: &Code) -> Option<i64> {
         let (bank, addr) = code.layout.addr_of(sym, index as i64)?;
-        self.mem[bank as usize].get(addr as usize).copied()
+        self.load(bank, addr as usize)
     }
 
     /// Reads a register (mainly for tests and the self-test generator).
@@ -250,14 +252,13 @@ impl<'t> Machine<'t> {
                     let body = code
                         .insns
                         .get(pc + 1)
-                        .ok_or(SimError::Structure(StructureError::RptAtEnd))?
-                        .clone();
+                        .ok_or(SimError::Structure(StructureError::RptAtEnd))?;
                     for _ in 0..*count {
                         steps += 1;
                         if steps > self.max_steps {
                             return Err(SimError::StepLimit);
                         }
-                        self.exec_repeatable(&body, code, &counters)?;
+                        self.exec_repeatable(body, code, &counters)?;
                         result.cycles += body.cycles as u64;
                         result.insns += 1;
                     }
@@ -352,8 +353,7 @@ impl<'t> Machine<'t> {
                     pc += 1;
                 }
                 InsnKind::Compute { .. } => {
-                    let insn = insn.clone();
-                    self.exec_bundle(&insn, code, &counters)?;
+                    self.exec_bundle(insn, code, &counters)?;
                     result.cycles += insn.cycles as u64;
                     result.insns += 1;
                     pc += 1;
@@ -531,18 +531,29 @@ impl<'t> Machine<'t> {
         }
     }
 
+    /// The word at `ix` of `bank`, `None` past the end of the bank.
+    fn load(&self, bank: Bank, ix: usize) -> Option<i64> {
+        (ix < self.target.memory.words_per_bank as usize)
+            .then(|| self.mem[bank as usize].get(ix).copied().unwrap_or(0))
+    }
+
     fn read_mem(&self, bank: Bank, addr: i64) -> Result<i64, SimError> {
-        let ix = usize::try_from(addr).map_err(|_| SimError::AddressOutOfRange { bank, addr })?;
-        self.mem[bank as usize].get(ix).copied().ok_or(SimError::AddressOutOfRange { bank, addr })
+        usize::try_from(addr)
+            .ok()
+            .and_then(|ix| self.load(bank, ix))
+            .ok_or(SimError::AddressOutOfRange { bank, addr })
     }
 
     fn write_mem(&mut self, bank: Bank, addr: i64, value: i64) -> Result<(), SimError> {
-        let ix = usize::try_from(addr).map_err(|_| SimError::AddressOutOfRange { bank, addr })?;
-        let width = self.target.word_width;
-        let slot = self.mem[bank as usize]
-            .get_mut(ix)
+        let ix = usize::try_from(addr)
+            .ok()
+            .filter(|&ix| ix < self.target.memory.words_per_bank as usize)
             .ok_or(SimError::AddressOutOfRange { bank, addr })?;
-        *slot = record_ir::ops::wrap_to_width(value, width);
+        let words = &mut self.mem[bank as usize];
+        if ix >= words.len() {
+            words.resize(ix + 1, 0);
+        }
+        words[ix] = record_ir::ops::wrap_to_width(value, self.target.word_width);
         Ok(())
     }
 }
